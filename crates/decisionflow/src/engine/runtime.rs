@@ -11,12 +11,17 @@
 //! ### Cost
 //!
 //! Every dependency edge is "killed" at most once over the lifetime of
-//! an instance, and each kill is O(1); each enabling condition is
-//! re-evaluated at most once per referenced attribute stabilizing. With
-//! bounded condition sizes this makes the whole algorithm linear in the
-//! size of the decision flow, matching the paper's claim; the
-//! `propagation_steps` metric exposes the actual step count and a
-//! Criterion bench verifies linearity empirically.
+//! an instance, and each kill is O(1). Enabling conditions are compiled
+//! at schema build into one node array (`schema::cond`): when an
+//! attribute stabilizes, only the predicates that read it are
+//! evaluated, and their verdicts settle the enclosing `And`/`Or`/`Not`
+//! nodes by counting. Each predicate is therefore evaluated at most
+//! once per instance and each connective decides at most once, so
+//! condition evaluation costs O(total condition size) over the whole
+//! instance, and reading a condition's verdict is O(1). The whole
+//! algorithm is linear in the size of the decision flow, matching the
+//! paper's claim; the `propagation_steps` metric exposes the actual step
+//! count and a Criterion bench verifies linearity empirically.
 //!
 //! ### Neededness accounting
 //!
@@ -43,6 +48,7 @@ use crate::engine::metrics::InstanceMetrics;
 use crate::engine::strategy::Strategy;
 use crate::expr::{AttrView, Tri, ValueEnv};
 use crate::journal::{Event, JournalSink};
+use crate::schema::cond::Slot;
 use crate::schema::{AttrId, Schema};
 use crate::snapshot::{CompleteSnapshot, FinalState, SnapshotError, SourceValues};
 use crate::state::AttrState;
@@ -71,6 +77,7 @@ pub struct RuntimeScratch {
     state: Vec<AttrState>,
     values: Vec<Value>,
     cond: Vec<Tri>,
+    cond_slots: Vec<Slot>,
     pending_inputs: Vec<u32>,
     pending_refs: Vec<u32>,
     in_flight: Vec<bool>,
@@ -84,16 +91,18 @@ pub struct RuntimeScratch {
 }
 
 impl RuntimeScratch {
-    /// Reset every buffer to the initial runtime state for a schema of
-    /// `n` attributes, reusing existing capacity.
-    fn reset(&mut self, n: usize) {
+    /// Reset every buffer to the initial runtime state for `schema`,
+    /// reusing existing capacity.
+    fn reset(&mut self, schema: &Schema) {
         fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
             v.clear();
             v.resize(n, x);
         }
+        let n = schema.len();
         refill(&mut self.state, n, AttrState::Uninitialized);
         refill(&mut self.values, n, Value::Null);
         refill(&mut self.cond, n, Tri::Unknown);
+        schema.conds().reset(&mut self.cond_slots);
         refill(&mut self.pending_inputs, n, 0);
         refill(&mut self.pending_refs, n, 0);
         refill(&mut self.in_flight, n, false);
@@ -110,6 +119,13 @@ impl RuntimeScratch {
 /// The runtime of one decision-flow instance.
 pub struct InstanceRuntime {
     schema: Arc<Schema>,
+    core: Core,
+}
+
+/// Everything mutable about an instance. Kept apart from the schema so
+/// the propagation methods borrow `&Schema` next to `&mut Core` instead
+/// of cloning the `Arc` on every call.
+struct Core {
     strategy: Strategy,
     options: RuntimeOptions,
 
@@ -117,12 +133,18 @@ pub struct InstanceRuntime {
     /// Stable values (⊥ for DISABLED) and cached speculative results
     /// for COMPUTED attributes.
     values: Vec<Value>,
+    /// The condition verdicts the runtime has acted on.
     cond: Vec<Tri>,
+    /// Per-node state of the schema's compiled conditions: the live
+    /// verdict of every condition over the current snapshot.
+    cond_slots: Vec<Slot>,
     /// Unstable data inputs remaining, per attribute.
     pending_inputs: Vec<u32>,
     /// Unstable enabling references remaining, per attribute.
     pending_refs: Vec<u32>,
     in_flight: Vec<bool>,
+    /// Number of `true` entries of `in_flight`.
+    in_flight_count: usize,
 
     need_count: Vec<u32>,
     enab_edges_dead: Vec<bool>,
@@ -166,6 +188,12 @@ impl std::fmt::Display for Stalled {
 impl std::error::Error for Stalled {}
 
 impl ValueEnv for InstanceRuntime {
+    fn view(&self, a: AttrId) -> AttrView<'_> {
+        self.core.view(a)
+    }
+}
+
+impl ValueEnv for Core {
     fn view(&self, a: AttrId) -> AttrView<'_> {
         if self.state[a.index()].is_stable() {
             AttrView::Stable(&self.values[a.index()])
@@ -308,17 +336,18 @@ impl InstanceRuntime {
         mut scratch: RuntimeScratch,
     ) -> Result<Self, SnapshotError> {
         sources.validate(&schema)?;
-        let n = schema.len();
-        scratch.reset(n);
-        let mut rt = InstanceRuntime {
+        scratch.reset(&schema);
+        let mut core = Core {
             strategy,
             options,
             state: scratch.state,
             values: scratch.values,
             cond: scratch.cond,
+            cond_slots: scratch.cond_slots,
             pending_inputs: scratch.pending_inputs,
             pending_refs: scratch.pending_refs,
             in_flight: scratch.in_flight,
+            in_flight_count: 0,
             need_count: scratch.need_count,
             enab_edges_dead: scratch.enab_edges_dead,
             data_edges_dead: scratch.data_edges_dead,
@@ -330,10 +359,9 @@ impl InstanceRuntime {
             retained: 0,
             metrics: InstanceMetrics::new(),
             sink,
-            schema,
         };
-        rt.initialize(sources, retained);
-        Ok(rt)
+        core.initialize(&schema, sources, retained);
+        Ok(InstanceRuntime { schema, core })
     }
 
     /// Strip this runtime's per-attribute buffers into a
@@ -344,25 +372,267 @@ impl InstanceRuntime {
     /// reclaiming. Intended for retired instances — the server calls it
     /// when the last reference to a finished instance drops.
     pub fn reclaim(&mut self) -> RuntimeScratch {
+        let c = &mut self.core;
         RuntimeScratch {
-            state: std::mem::take(&mut self.state),
-            values: std::mem::take(&mut self.values),
-            cond: std::mem::take(&mut self.cond),
-            pending_inputs: std::mem::take(&mut self.pending_inputs),
-            pending_refs: std::mem::take(&mut self.pending_refs),
-            in_flight: std::mem::take(&mut self.in_flight),
-            need_count: std::mem::take(&mut self.need_count),
-            enab_edges_dead: std::mem::take(&mut self.enab_edges_dead),
-            data_edges_dead: std::mem::take(&mut self.data_edges_dead),
-            target_alive: std::mem::take(&mut self.target_alive),
-            pool: std::mem::take(&mut self.pool),
-            in_pool: std::mem::take(&mut self.in_pool),
-            stable_queue: std::mem::take(&mut self.stable_queue),
+            state: std::mem::take(&mut c.state),
+            values: std::mem::take(&mut c.values),
+            cond: std::mem::take(&mut c.cond),
+            cond_slots: std::mem::take(&mut c.cond_slots),
+            pending_inputs: std::mem::take(&mut c.pending_inputs),
+            pending_refs: std::mem::take(&mut c.pending_refs),
+            in_flight: std::mem::take(&mut c.in_flight),
+            need_count: std::mem::take(&mut c.need_count),
+            enab_edges_dead: std::mem::take(&mut c.enab_edges_dead),
+            data_edges_dead: std::mem::take(&mut c.data_edges_dead),
+            target_alive: std::mem::take(&mut c.target_alive),
+            pool: std::mem::take(&mut c.pool),
+            in_pool: std::mem::take(&mut c.in_pool),
+            stable_queue: std::mem::take(&mut c.stable_queue),
         }
     }
 
-    fn initialize(&mut self, sources: &SourceValues, retained: &[(AttrId, AttrState, Value)]) {
-        let schema = Arc::clone(&self.schema);
+    /// Is a journal sink attached?
+    #[inline]
+    pub fn recording(&self) -> bool {
+        self.core.recording()
+    }
+
+    // ------------------------------------------------------------------
+    // Accessors
+    // ------------------------------------------------------------------
+
+    /// The schema this instance runs.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// The strategy in force.
+    pub fn strategy(&self) -> Strategy {
+        self.core.strategy
+    }
+
+    /// Current state of `a`.
+    pub fn state(&self, a: AttrId) -> AttrState {
+        self.core.state[a.index()]
+    }
+
+    /// The condition verdict for `a` that the runtime has acted on.
+    pub fn cond(&self, a: AttrId) -> Tri {
+        self.core.cond[a.index()]
+    }
+
+    /// The Kleene verdict of `a`'s enabling condition over the current
+    /// snapshot, kept incrementally: it always equals
+    /// `schema.attr(a).enabling.eval(self)`. It can be decided before
+    /// [`cond`](Self::cond) is, for example under a naive strategy,
+    /// which acts on a condition only once all its references are
+    /// stable.
+    pub fn verdict(&self, a: AttrId) -> Tri {
+        self.schema.conds().verdict(&self.core.cond_slots, a)
+    }
+
+    /// Stable value of `a`, if `a` has stabilized.
+    pub fn stable_value(&self, a: AttrId) -> Option<&Value> {
+        if self.core.state[a.index()].is_stable() {
+            Some(&self.core.values[a.index()])
+        } else {
+            None
+        }
+    }
+
+    /// Is `a` still needed for instance completion? (Always true under
+    /// the naive option or with backward propagation disabled.)
+    pub fn is_needed(&self, a: AttrId) -> bool {
+        self.core.is_needed(a)
+    }
+
+    /// Is the task for `a` currently executing?
+    pub fn is_in_flight(&self, a: AttrId) -> bool {
+        self.core.in_flight[a.index()]
+    }
+
+    /// All target attributes stable ⇒ the instance is complete.
+    pub fn is_complete(&self) -> bool {
+        self.core.unstable_targets == 0
+    }
+
+    /// Execution counters.
+    pub fn metrics(&self) -> &InstanceMetrics {
+        &self.core.metrics
+    }
+
+    /// How many attributes were adopted pre-stabilized from a prior
+    /// snapshot ([`InstanceRuntime::with_options_retained`]). 0 on
+    /// cold (non-delta) runs.
+    pub fn retained_count(&self) -> u32 {
+        self.core.retained
+    }
+
+    /// Number of tasks currently in flight.
+    pub fn in_flight_count(&self) -> usize {
+        self.core.in_flight_count
+    }
+
+    // ------------------------------------------------------------------
+    // Prequalifier interface
+    // ------------------------------------------------------------------
+
+    /// The candidate attribute pool: prequalified tasks eligible for
+    /// scheduling right now. Invalid entries are pruned; entries that
+    /// may become eligible again later are retained.
+    pub fn candidates(&mut self) -> Vec<AttrId> {
+        let mut out = Vec::with_capacity(self.core.pool.len());
+        self.candidates_into(&mut out);
+        out
+    }
+
+    /// [`candidates`](Self::candidates) into a caller-owned buffer
+    /// (cleared first): the scheduling loop reuses one buffer across
+    /// rounds instead of allocating per round. The pool itself is
+    /// compacted in place.
+    pub fn candidates_into(&mut self, out: &mut Vec<AttrId>) {
+        let c = &mut self.core;
+        out.clear();
+        let mut w = 0;
+        for idx in 0..c.pool.len() {
+            let a = c.pool[idx];
+            if c.is_candidate(a) {
+                c.pool[w] = a;
+                w += 1;
+                out.push(a);
+            } else {
+                // A candidate leaves the pool for good when its fate is
+                // sealed: stable, launched, computed, or unneeded. Only
+                // those are ever inserted, so eviction is permanent.
+                c.in_pool[a.index()] = false;
+            }
+        }
+        c.pool.truncate(w);
+    }
+
+    /// Commit to executing `a`'s task: records the work (queries are
+    /// never cancelled once sent) and returns the input values for the
+    /// task body. Panics if `a` is not a valid candidate.
+    pub fn launch(&mut self, a: AttrId) -> Vec<Value> {
+        self.commit_launch(a);
+        self.input_values(a)
+    }
+
+    /// [`launch`](Self::launch) writing the input values into a
+    /// caller-owned buffer (cleared first), so a driver that runs the
+    /// task body in place reuses one buffer across launches.
+    pub(crate) fn launch_into(&mut self, a: AttrId, inputs: &mut Vec<Value>) {
+        self.commit_launch(a);
+        inputs.clear();
+        self.push_inputs(a, inputs);
+    }
+
+    fn commit_launch(&mut self, a: AttrId) {
+        let c = &mut self.core;
+        assert!(c.is_candidate(a), "launch of non-candidate {a:?}");
+        c.in_flight[a.index()] = true;
+        c.in_flight_count += 1;
+        let cost = self.schema.cost(a);
+        c.metrics.launched += 1;
+        c.metrics.work += cost;
+        if c.recording() {
+            c.emit(Event::Launch { attr: a, cost });
+        }
+    }
+
+    /// Stable input values for `a`'s task, in declaration order. Panics
+    /// unless every input has stabilized.
+    pub fn input_values(&self, a: AttrId) -> Vec<Value> {
+        let mut out = Vec::with_capacity(self.schema.attr(a).inputs.len());
+        self.push_inputs(a, &mut out);
+        out
+    }
+
+    fn push_inputs(&self, a: AttrId, out: &mut Vec<Value>) {
+        out.extend(self.schema.attr(a).inputs.iter().map(|&i| {
+            assert!(
+                self.core.state[i.index()].is_stable(),
+                "input {i:?} of {a:?} not stable"
+            );
+            self.core.values[i.index()].clone()
+        }));
+    }
+
+    /// Deliver the result of `a`'s task and run incremental
+    /// propagation. The fate of the value depends on the condition:
+    /// decided true ⇒ stable VALUE; still unknown ⇒ COMPUTED
+    /// (speculative); decided false ⇒ the work was wasted.
+    pub fn complete(&mut self, a: AttrId, v: Value) {
+        let (schema, c) = (&*self.schema, &mut self.core);
+        let i = a.index();
+        assert!(c.in_flight[i], "completion for task not in flight: {a:?}");
+        if c.recording() {
+            c.emit(Event::Complete {
+                attr: a,
+                value: v.clone(),
+            });
+        }
+        c.in_flight[i] = false;
+        c.in_flight_count -= 1;
+        // The task has produced its value: its inputs are no longer
+        // needed on account of `a`.
+        c.kill_data_in_edges(schema, a);
+        match c.cond[i] {
+            Tri::True => {
+                c.metrics.useful_completions += 1;
+                c.mark_stable(schema, a, AttrState::Value, v);
+            }
+            Tri::Unknown => {
+                debug_assert!(c.state[i].can_advance_to(AttrState::Computed));
+                c.state[i] = AttrState::Computed;
+                c.values[i] = v;
+            }
+            Tri::False => {
+                // Disabled while the query was running: discard.
+                debug_assert_eq!(c.state[i], AttrState::Disabled);
+                c.metrics.wasted_completions += 1;
+                c.metrics.wasted_work += schema.cost(a);
+            }
+        }
+        c.drain_propagation(schema);
+    }
+
+    /// Check agreement with the declarative oracle on every **target**
+    /// attribute — the correctness criterion of §2.
+    pub fn agrees_with(&self, snap: &CompleteSnapshot) -> bool {
+        self.schema
+            .targets()
+            .iter()
+            .all(|&t| match (self.state(t), snap.state(t)) {
+                (AttrState::Value, FinalState::Value) => {
+                    self.core.values[t.index()] == *snap.value(t)
+                }
+                (AttrState::Disabled, FinalState::Disabled) => true,
+                _ => false,
+            })
+    }
+
+    /// Build the stall diagnostic (for drivers that detect no progress).
+    pub fn stalled(&self) -> Stalled {
+        Stalled {
+            unstable_targets: self
+                .schema
+                .targets()
+                .iter()
+                .filter(|&&t| !self.state(t).is_stable())
+                .map(|&t| self.schema.attr(t).name.clone())
+                .collect(),
+        }
+    }
+}
+
+impl Core {
+    fn initialize(
+        &mut self,
+        schema: &Schema,
+        sources: &SourceValues,
+        retained: &[(AttrId, AttrState, Value)],
+    ) {
         // Dependency counters.
         for a in schema.attr_ids() {
             let i = a.index();
@@ -408,6 +678,7 @@ impl InstanceRuntime {
             }
             self.state[i] = st;
             self.values[i] = v.clone();
+            self.stabilize_conds(schema, a);
             self.cond[i] = if st == AttrState::Disabled {
                 Tri::False
             } else {
@@ -417,13 +688,13 @@ impl InstanceRuntime {
             if self.target_alive[i] {
                 self.target_alive[i] = false;
                 self.unstable_targets -= 1;
-                self.dec_need(a);
+                self.dec_need(schema, a);
             }
             self.stable_queue.push_back(a);
         }
         for &(a, _, _) in retained {
-            self.kill_enabling_in_edges(a);
-            self.kill_data_in_edges(a);
+            self.kill_enabling_in_edges(schema, a);
+            self.kill_data_in_edges(schema, a);
         }
         // Attributes with no data inputs are READY from the start.
         for a in schema.attr_ids() {
@@ -437,33 +708,31 @@ impl InstanceRuntime {
             self.cond[s.index()] = Tri::True;
             // invariant: sources.validate ran before the engine started.
             let v = sources.get(s).expect("validated").clone();
-            self.mark_stable(s, AttrState::Value, v);
+            self.mark_stable(schema, s, AttrState::Value, v);
         }
-        self.drain_propagation();
+        self.drain_propagation(schema);
         // Eager init: decide every condition that is already decidable.
         // Under `P` this applies Kleene short-circuiting to all
         // conditions; under `N` only conditions with zero unstable
-        // references are evaluated (their value is then exact).
+        // references are consulted (their value is then exact).
         for &a in schema.topo_order() {
             if schema.is_source(a) || self.cond[a.index()].is_decided() {
                 continue;
             }
             let decidable = self.strategy.propagate || self.pending_refs[a.index()] == 0;
             if decidable {
-                self.metrics.propagation_steps += 1;
-                let t = schema.attr(a).enabling.eval(self);
-                if let Some(b) = t.as_bool() {
-                    self.decide_cond(a, b);
-                    self.drain_propagation();
+                if let Some(b) = self.consult(schema, a).as_bool() {
+                    self.decide_cond(schema, a, b);
+                    self.drain_propagation(schema);
                 }
             }
         }
-        self.drain_propagation();
+        self.drain_propagation(schema);
     }
 
     /// Forward an event to the journal sink, if one is attached. Call
-    /// sites guard with [`InstanceRuntime::recording`] before building
-    /// events that clone values.
+    /// sites guard with [`Core::recording`] before building events that
+    /// clone values.
     #[inline]
     fn emit(&mut self, event: Event) {
         if let Some(sink) = &mut self.sink {
@@ -471,84 +740,29 @@ impl InstanceRuntime {
         }
     }
 
-    /// Is a journal sink attached?
     #[inline]
-    pub fn recording(&self) -> bool {
+    fn recording(&self) -> bool {
         self.sink.is_some()
     }
 
-    // ------------------------------------------------------------------
-    // Accessors
-    // ------------------------------------------------------------------
-
-    /// The schema this instance runs.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+    /// Read the verdict of `c`'s condition: one propagation step, O(1).
+    fn consult(&mut self, schema: &Schema, c: AttrId) -> Tri {
+        self.metrics.propagation_steps += 1;
+        let verdict = schema.conds().verdict(&self.cond_slots, c);
+        debug_assert_eq!(
+            verdict,
+            schema.attr(c).enabling.eval(self),
+            "incremental verdict of {c:?} diverged from Expr::eval"
+        );
+        verdict
     }
 
-    /// The strategy in force.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// Current state of `a`.
-    pub fn state(&self, a: AttrId) -> AttrState {
-        self.state[a.index()]
-    }
-
-    /// Current condition verdict for `a`.
-    pub fn cond(&self, a: AttrId) -> Tri {
-        self.cond[a.index()]
-    }
-
-    /// Stable value of `a`, if `a` has stabilized.
-    pub fn stable_value(&self, a: AttrId) -> Option<&Value> {
-        if self.state[a.index()].is_stable() {
-            Some(&self.values[a.index()])
-        } else {
-            None
-        }
-    }
-
-    /// Is `a` still needed for instance completion? (Always true under
-    /// the naive option or with backward propagation disabled.)
-    pub fn is_needed(&self, a: AttrId) -> bool {
+    fn is_needed(&self, a: AttrId) -> bool {
         if !self.strategy.propagate || self.options.disable_backward {
             return true;
         }
         self.need_count[a.index()] > 0
     }
-
-    /// Is the task for `a` currently executing?
-    pub fn is_in_flight(&self, a: AttrId) -> bool {
-        self.in_flight[a.index()]
-    }
-
-    /// All target attributes stable ⇒ the instance is complete.
-    pub fn is_complete(&self) -> bool {
-        self.unstable_targets == 0
-    }
-
-    /// Execution counters.
-    pub fn metrics(&self) -> &InstanceMetrics {
-        &self.metrics
-    }
-
-    /// How many attributes were adopted pre-stabilized from a prior
-    /// snapshot ([`InstanceRuntime::with_options_retained`]). 0 on
-    /// cold (non-delta) runs.
-    pub fn retained_count(&self) -> u32 {
-        self.retained
-    }
-
-    /// Number of tasks currently in flight.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.iter().filter(|b| **b).count()
-    }
-
-    // ------------------------------------------------------------------
-    // Prequalifier interface
-    // ------------------------------------------------------------------
 
     fn is_candidate(&self, a: AttrId) -> bool {
         let i = a.index();
@@ -569,140 +783,6 @@ impl InstanceRuntime {
         }
     }
 
-    /// The candidate attribute pool: prequalified tasks eligible for
-    /// scheduling right now. Invalid entries are pruned; entries that
-    /// may become eligible again later are retained.
-    pub fn candidates(&mut self) -> Vec<AttrId> {
-        let mut out = Vec::with_capacity(self.pool.len());
-        self.candidates_into(&mut out);
-        out
-    }
-
-    /// [`candidates`](Self::candidates) into a caller-owned buffer
-    /// (cleared first): the scheduling loop reuses one buffer across
-    /// rounds instead of allocating per round. The pool itself is
-    /// compacted in place.
-    pub fn candidates_into(&mut self, out: &mut Vec<AttrId>) {
-        out.clear();
-        let mut w = 0;
-        for idx in 0..self.pool.len() {
-            let a = self.pool[idx];
-            if self.is_candidate(a) {
-                self.pool[w] = a;
-                w += 1;
-                out.push(a);
-            } else {
-                // A candidate leaves the pool for good when its fate is
-                // sealed: stable, launched, computed, or unneeded. Only
-                // those are ever inserted, so eviction is permanent.
-                self.in_pool[a.index()] = false;
-            }
-        }
-        self.pool.truncate(w);
-    }
-
-    /// Commit to executing `a`'s task: records the work (queries are
-    /// never cancelled once sent) and returns the input values for the
-    /// task body. Panics if `a` is not a valid candidate.
-    pub fn launch(&mut self, a: AttrId) -> Vec<Value> {
-        assert!(self.is_candidate(a), "launch of non-candidate {a:?}");
-        self.in_flight[a.index()] = true;
-        self.metrics.launched += 1;
-        self.metrics.work += self.schema.cost(a);
-        if self.recording() {
-            let cost = self.schema.cost(a);
-            self.emit(Event::Launch { attr: a, cost });
-        }
-        self.input_values(a)
-    }
-
-    /// Stable input values for `a`'s task, in declaration order. Panics
-    /// unless every input has stabilized.
-    pub fn input_values(&self, a: AttrId) -> Vec<Value> {
-        self.schema
-            .attr(a)
-            .inputs
-            .iter()
-            .map(|&i| {
-                assert!(
-                    self.state[i.index()].is_stable(),
-                    "input {i:?} of {a:?} not stable"
-                );
-                self.values[i.index()].clone()
-            })
-            .collect()
-    }
-
-    /// Deliver the result of `a`'s task and run incremental
-    /// propagation. The fate of the value depends on the condition:
-    /// decided true ⇒ stable VALUE; still unknown ⇒ COMPUTED
-    /// (speculative); decided false ⇒ the work was wasted.
-    pub fn complete(&mut self, a: AttrId, v: Value) {
-        let i = a.index();
-        assert!(
-            self.in_flight[i],
-            "completion for task not in flight: {a:?}"
-        );
-        if self.recording() {
-            self.emit(Event::Complete {
-                attr: a,
-                value: v.clone(),
-            });
-        }
-        self.in_flight[i] = false;
-        // The task has produced its value: its inputs are no longer
-        // needed on account of `a`.
-        self.kill_data_in_edges(a);
-        match self.cond[i] {
-            Tri::True => {
-                self.metrics.useful_completions += 1;
-                self.mark_stable(a, AttrState::Value, v);
-            }
-            Tri::Unknown => {
-                debug_assert!(self.state[i].can_advance_to(AttrState::Computed));
-                self.state[i] = AttrState::Computed;
-                self.values[i] = v;
-            }
-            Tri::False => {
-                // Disabled while the query was running: discard.
-                debug_assert_eq!(self.state[i], AttrState::Disabled);
-                self.metrics.wasted_completions += 1;
-                self.metrics.wasted_work += self.schema.cost(a);
-            }
-        }
-        self.drain_propagation();
-    }
-
-    /// Check agreement with the declarative oracle on every **target**
-    /// attribute — the correctness criterion of §2.
-    pub fn agrees_with(&self, snap: &CompleteSnapshot) -> bool {
-        self.schema
-            .targets()
-            .iter()
-            .all(|&t| match (self.state(t), snap.state(t)) {
-                (AttrState::Value, FinalState::Value) => self.values[t.index()] == *snap.value(t),
-                (AttrState::Disabled, FinalState::Disabled) => true,
-                _ => false,
-            })
-    }
-
-    /// Build the stall diagnostic (for drivers that detect no progress).
-    pub fn stalled(&self) -> Stalled {
-        Stalled {
-            unstable_targets: self
-                .schema
-                .targets()
-                .iter()
-                .filter(|&&t| !self.state(t).is_stable())
-                .map(|&t| self.schema.attr(t).name.clone())
-                .collect(),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Propagation internals
-    // ------------------------------------------------------------------
-
     fn pool_insert(&mut self, a: AttrId) {
         if !self.in_pool[a.index()] && self.is_candidate(a) {
             self.in_pool[a.index()] = true;
@@ -710,8 +790,16 @@ impl InstanceRuntime {
         }
     }
 
+    /// `a` just became stable: bring the compiled conditions that read
+    /// it up to date, so every condition's verdict follows the snapshot.
+    fn stabilize_conds(&mut self, schema: &Schema, a: AttrId) {
+        schema
+            .conds()
+            .stabilized(&mut self.cond_slots, a, &self.state, &self.values);
+    }
+
     /// Transition `a` to a stable state and queue forward propagation.
-    fn mark_stable(&mut self, a: AttrId, st: AttrState, v: Value) {
+    fn mark_stable(&mut self, schema: &Schema, a: AttrId, st: AttrState, v: Value) {
         let i = a.index();
         debug_assert!(st.is_stable());
         debug_assert!(
@@ -728,19 +816,18 @@ impl InstanceRuntime {
             });
         }
         self.values[i] = v;
+        self.stabilize_conds(schema, a);
         if self.target_alive[i] {
             self.target_alive[i] = false;
             self.unstable_targets -= 1;
-            self.dec_need(a);
+            self.dec_need(schema, a);
         }
         self.stable_queue.push_back(a);
     }
 
     /// Forward propagation: drain newly stable attributes, updating
-    /// consumer readiness and (eagerly) re-evaluating consumer
-    /// conditions.
-    fn drain_propagation(&mut self) {
-        let schema = Arc::clone(&self.schema);
+    /// consumer readiness and (eagerly) consulting consumer conditions.
+    fn drain_propagation(&mut self, schema: &Schema) {
         while let Some(a) = self.stable_queue.pop_front() {
             // Data consumers: one fewer unstable input.
             for &c in schema.data_consumers(a) {
@@ -752,7 +839,7 @@ impl InstanceRuntime {
                     self.on_inputs_ready(c);
                 }
             }
-            // Enabling consumers: maybe (re-)evaluate their condition.
+            // Enabling consumers: maybe act on their condition.
             for &c in schema.enabling_consumers(a) {
                 self.metrics.propagation_steps += 1;
                 let pr = &mut self.pending_refs[c.index()];
@@ -761,19 +848,17 @@ impl InstanceRuntime {
                 if self.cond[c.index()].is_decided() {
                     continue;
                 }
-                let evaluate = if self.strategy.propagate {
-                    true // eager: re-evaluate on every new fact
+                let consult = if self.strategy.propagate {
+                    true // eager: act on every new fact
                 } else {
                     self.pending_refs[c.index()] == 0 // naive: exact only
                 };
-                if evaluate {
-                    self.metrics.propagation_steps += 1;
-                    let t = schema.attr(c).enabling.eval(self);
-                    if let Some(b) = t.as_bool() {
+                if consult {
+                    if let Some(b) = self.consult(schema, c).as_bool() {
                         if self.pending_refs[c.index()] > 0 {
                             self.metrics.eager_decisions += 1;
                         }
-                        self.decide_cond(c, b);
+                        self.decide_cond(schema, c, b);
                     }
                 }
             }
@@ -802,7 +887,7 @@ impl InstanceRuntime {
     }
 
     /// Record a condition verdict and apply its consequences.
-    fn decide_cond(&mut self, c: AttrId, verdict: bool) {
+    fn decide_cond(&mut self, schema: &Schema, c: AttrId, verdict: bool) {
         let i = c.index();
         debug_assert_eq!(self.cond[i], Tri::Unknown);
         if self.recording() {
@@ -816,7 +901,7 @@ impl InstanceRuntime {
         self.cond[i] = Tri::from_bool(verdict);
         // The condition is settled: its referenced attributes are no
         // longer needed on account of `c`.
-        self.kill_enabling_in_edges(c);
+        self.kill_enabling_in_edges(schema, c);
         if verdict {
             match self.state[i] {
                 AttrState::Uninitialized => self.state[i] = AttrState::Enabled,
@@ -828,75 +913,86 @@ impl InstanceRuntime {
                     // Speculation paid off: the cached value becomes final.
                     self.metrics.useful_completions += 1;
                     let v = std::mem::take(&mut self.values[i]);
-                    self.mark_stable(c, AttrState::Value, v);
+                    self.mark_stable(schema, c, AttrState::Value, v);
                 }
                 other => unreachable!("cond decided on state {other:?}"),
             }
         } else {
             self.metrics.disabled += 1;
             // Disabled: data inputs are no longer needed on account of c.
-            self.kill_data_in_edges(c);
+            self.kill_data_in_edges(schema, c);
             if self.state[i] == AttrState::Computed {
                 // Speculation wasted.
                 self.metrics.wasted_completions += 1;
-                self.metrics.wasted_work += self.schema.cost(c);
+                self.metrics.wasted_work += schema.cost(c);
             }
-            self.mark_stable(c, AttrState::Disabled, Value::Null);
+            self.mark_stable(schema, c, AttrState::Disabled, Value::Null);
         }
     }
 
-    fn kill_enabling_in_edges(&mut self, c: AttrId) {
+    fn kill_enabling_in_edges(&mut self, schema: &Schema, c: AttrId) {
         if std::mem::replace(&mut self.enab_edges_dead[c.index()], true) {
             return;
         }
-        let schema = Arc::clone(&self.schema);
         for &r in schema.enabling_refs(c) {
             self.metrics.propagation_steps += 1;
-            self.dec_need(r);
+            self.dec_need(schema, r);
         }
     }
 
-    fn kill_data_in_edges(&mut self, c: AttrId) {
+    fn kill_data_in_edges(&mut self, schema: &Schema, c: AttrId) {
         if std::mem::replace(&mut self.data_edges_dead[c.index()], true) {
             return;
         }
-        let schema = Arc::clone(&self.schema);
-        for idx in 0..schema.attr(c).inputs.len() {
-            let r = schema.attr(c).inputs[idx];
+        for &r in &schema.attr(c).inputs {
             self.metrics.propagation_steps += 1;
-            self.dec_need(r);
+            self.dec_need(schema, r);
         }
     }
 
-    /// Backward propagation: one live reason for `r` died.
-    fn dec_need(&mut self, r: AttrId) {
+    /// Backward propagation: one live reason for `r` died. Allocates
+    /// only when `r` becomes unneeded and the release cascades.
+    fn dec_need(&mut self, schema: &Schema, r: AttrId) {
         if !self.strategy.propagate || self.options.disable_backward {
             return;
         }
-        let mut stack = vec![r];
+        if !self.release(r) {
+            return;
+        }
+        let mut stack = Vec::new();
+        self.unneeded(schema, r, &mut stack);
         while let Some(r) = stack.pop() {
-            let i = r.index();
-            debug_assert!(self.need_count[i] > 0, "need_count underflow at {r:?}");
-            self.need_count[i] -= 1;
-            if self.need_count[i] > 0 || self.state[i].is_stable() {
-                continue;
+            if self.release(r) {
+                self.unneeded(schema, r, &mut stack);
             }
-            // `r` is unneeded: it will never be launched (the pool
-            // check excludes it) and need not stabilize. Its own
-            // dependencies are released in turn.
-            self.metrics.unneeded_detected += 1;
-            self.emit(Event::Unneeded { attr: r });
-            if !std::mem::replace(&mut self.enab_edges_dead[i], true) {
-                for &x in self.schema.enabling_refs(r) {
-                    self.metrics.propagation_steps += 1;
-                    stack.push(x);
-                }
+        }
+    }
+
+    /// Drop one reason for `r`; true when `r` just became unneeded.
+    fn release(&mut self, r: AttrId) -> bool {
+        let i = r.index();
+        debug_assert!(self.need_count[i] > 0, "need_count underflow at {r:?}");
+        self.need_count[i] -= 1;
+        self.need_count[i] == 0 && !self.state[i].is_stable()
+    }
+
+    /// `r` is unneeded: it will never be launched (the pool check
+    /// excludes it) and need not stabilize. Its own dependencies are
+    /// pushed for release in turn.
+    fn unneeded(&mut self, schema: &Schema, r: AttrId, stack: &mut Vec<AttrId>) {
+        let i = r.index();
+        self.metrics.unneeded_detected += 1;
+        self.emit(Event::Unneeded { attr: r });
+        if !std::mem::replace(&mut self.enab_edges_dead[i], true) {
+            for &x in schema.enabling_refs(r) {
+                self.metrics.propagation_steps += 1;
+                stack.push(x);
             }
-            if !std::mem::replace(&mut self.data_edges_dead[i], true) {
-                for &x in &self.schema.attr(r).inputs {
-                    self.metrics.propagation_steps += 1;
-                    stack.push(x);
-                }
+        }
+        if !std::mem::replace(&mut self.data_edges_dead[i], true) {
+            for &x in &schema.attr(r).inputs {
+                self.metrics.propagation_steps += 1;
+                stack.push(x);
             }
         }
     }

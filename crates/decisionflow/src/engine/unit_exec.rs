@@ -202,6 +202,8 @@ fn drive(
     let mut now = 0u64;
     let mut seq = 0u64;
     let mut round = 0u32;
+    let mut picks: Vec<AttrId> = Vec::new();
+    let mut inputs: Vec<Value> = Vec::new();
 
     loop {
         if rt.is_complete() {
@@ -211,13 +213,14 @@ fn drive(
             break;
         }
         // Scheduling phase: launch what %Permitted allows.
-        let candidates = rt.candidates();
+        rt.candidates_into(&mut picks);
         let in_flight = rt.in_flight_count();
-        let picks = if let Some(rec) = recorder {
+        match recorder {
             // Journal the round (pool + picks) before the launches it
             // causes, so replay re-derives the same frame order.
-            let picks = scheduler::select(schema, strategy, candidates.clone(), in_flight);
-            if !candidates.is_empty() {
+            Some(rec) if !picks.is_empty() => {
+                let candidates = picks.clone();
+                scheduler::select_into(schema, strategy, &mut picks, in_flight);
                 rec.record(Event::Round {
                     round,
                     candidates,
@@ -225,12 +228,10 @@ fn drive(
                 });
                 round += 1;
             }
-            picks
-        } else {
-            scheduler::select(schema, strategy, candidates, in_flight)
-        };
-        for a in picks {
-            let inputs = rt.launch(a);
+            _ => scheduler::select_into(schema, strategy, &mut picks, in_flight),
+        }
+        for &a in &picks {
+            rt.launch_into(a, &mut inputs);
             let value = schema.attr(a).task.compute(&inputs);
             calendar.push(Completion {
                 at: now + schema.cost(a),

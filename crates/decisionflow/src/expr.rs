@@ -339,21 +339,7 @@ impl Expr {
                     None => return Tri::Unknown,
                     Some(v) => v,
                 };
-                // Stable operands: ⊥ or incomparable types decide False,
-                // except Ne which is the negation of Eq's semantics and
-                // still decides False on ⊥ (SQL-like: ⊥ != x is unknown
-                // in SQL, but the paper requires decidability once
-                // stable, so we ground it to False).
-                match (op, l.loose_eq(r)) {
-                    (CmpOp::Eq, Some(eq)) => return Tri::from_bool(eq),
-                    (CmpOp::Ne, Some(eq)) => return Tri::from_bool(!eq),
-                    (CmpOp::Eq | CmpOp::Ne, None) => return Tri::False,
-                    _ => {}
-                }
-                match l.partial_cmp_val(r) {
-                    Some(ord) => Tri::from_bool(op.apply(ord)),
-                    None => Tri::False,
-                }
+                Tri::from_bool(cmp_values(*op, l, r))
             }
             Expr::Not(e) => e.eval(env).not(),
             Expr::And(es) => {
@@ -388,6 +374,18 @@ impl Expr {
             Tri::False => false,
             Tri::Unknown => panic!("eval_complete on a partial environment"),
         }
+    }
+}
+
+/// A comparison between two stable operands. ⊥ or incomparable types
+/// decide `False`, including for `Ne`, which is otherwise the negation
+/// of `Eq` (SQL-like: ⊥ != x is unknown in SQL, but the paper requires
+/// decidability once stable, so it is grounded to `False`).
+pub(crate) fn cmp_values(op: CmpOp, l: &Value, r: &Value) -> bool {
+    match op {
+        CmpOp::Eq => l.loose_eq(r) == Some(true),
+        CmpOp::Ne => l.loose_eq(r) == Some(false),
+        _ => l.partial_cmp_val(r).is_some_and(|ord| op.apply(ord)),
     }
 }
 

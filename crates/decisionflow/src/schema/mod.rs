@@ -11,6 +11,7 @@
 //! (topological order, consumer lists, condition references) is
 //! precomputed here so the per-instance hot path allocates nothing.
 
+pub(crate) mod cond;
 mod module;
 mod validate;
 
@@ -24,6 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::expr::Expr;
 use crate::task::{Cost, Task};
+use cond::CondGraph;
 
 /// Dense identifier of an attribute within one schema.
 ///
@@ -77,13 +79,17 @@ pub struct Schema {
     /// topo_rank[a] = position of `a` in `topo` (the "earliest" key).
     topo_rank: Vec<u32>,
     /// enabling_refs[a] = attributes read by a's enabling condition.
-    enabling_refs: Vec<Vec<AttrId>>,
+    enabling_refs: Lists<AttrId>,
     /// data_consumers[a] = attributes having `a` among their inputs.
-    data_consumers: Vec<Vec<AttrId>>,
+    data_consumers: Lists<AttrId>,
     /// enabling_consumers[a] = attributes whose condition references `a`.
-    enabling_consumers: Vec<Vec<AttrId>>,
+    enabling_consumers: Lists<AttrId>,
     /// Total number of dependency edges (data + enabling).
     edge_count: usize,
+    /// Every enabling condition flattened for incremental evaluation.
+    conds: CondGraph,
+    /// Process-unique identity of this build (see [`Schema::identity`]).
+    identity: u64,
 }
 
 impl Schema {
@@ -135,17 +141,17 @@ impl Schema {
 
     /// Attributes read by `a`'s enabling condition (enabling in-edges).
     pub fn enabling_refs(&self, a: AttrId) -> &[AttrId] {
-        &self.enabling_refs[a.index()]
+        self.enabling_refs.get(a.index())
     }
 
     /// Attributes that consume `a` as a data input.
     pub fn data_consumers(&self, a: AttrId) -> &[AttrId] {
-        &self.data_consumers[a.index()]
+        self.data_consumers.get(a.index())
     }
 
     /// Attributes whose enabling condition references `a`.
     pub fn enabling_consumers(&self, a: AttrId) -> &[AttrId] {
-        &self.enabling_consumers[a.index()]
+        self.enabling_consumers.get(a.index())
     }
 
     /// Estimated cost of the task producing `a`.
@@ -164,6 +170,21 @@ impl Schema {
         self.edge_count
     }
 
+    /// The enabling conditions compiled for the runtime's incremental
+    /// evaluation.
+    pub(crate) fn conds(&self) -> &CondGraph {
+        &self.conds
+    }
+
+    /// Process-unique identity of this schema, assigned when it was
+    /// built. Two builds never share it, even of the same flow, so it
+    /// tells apart schemas whose structure (and so whose
+    /// [`schema_fingerprint`](crate::journal::schema_fingerprint)) is
+    /// equal but whose task bodies differ.
+    pub(crate) fn identity(&self) -> u64 {
+        self.identity
+    }
+
     /// Sum of task costs over all non-source attributes: the work an
     /// entirely unoptimized run (everything enabled, nothing pruned)
     /// would perform.
@@ -176,6 +197,39 @@ impl Schema {
     /// finding codes and the passes behind them.
     pub fn analyze(&self) -> crate::analysis::Report {
         crate::analysis::check(self)
+    }
+}
+
+/// One list per attribute, flattened into a single array: list `i` is
+/// `items[start[i]..start[i + 1]]`. Two allocations per list kind
+/// instead of one per attribute keep a schema's derived structure
+/// compact.
+pub(crate) struct Lists<T> {
+    start: Box<[u32]>,
+    items: Box<[T]>,
+}
+
+impl<T: Copy> Lists<T> {
+    pub(crate) fn new<'a>(lists: impl IntoIterator<Item = &'a [T]>) -> Lists<T>
+    where
+        T: 'a,
+    {
+        let mut start = vec![0u32];
+        let mut items = Vec::new();
+        for l in lists {
+            items.extend_from_slice(l);
+            start.push(u32::try_from(items.len()).expect("more than u32::MAX list items"));
+        }
+        Lists {
+            start: start.into(),
+            items: items.into(),
+        }
+    }
+}
+
+impl<T> Lists<T> {
+    pub(crate) fn get(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
     }
 }
 

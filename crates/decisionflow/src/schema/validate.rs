@@ -13,8 +13,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::{AttrDef, AttrId, Schema};
+use super::cond::CondGraph;
+use super::{AttrDef, AttrId, Lists, Schema};
 use crate::expr::Expr;
 
 /// Why a schema failed validation.
@@ -207,16 +209,21 @@ pub(super) fn build(attrs: Vec<AttrDef>) -> Result<Schema, SchemaError> {
         return Err(SchemaError::Cycle(attrs[stuck].name.clone()));
     }
 
+    // Only uniqueness matters, not ordering with other memory.
+    static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(1);
+    let conds = CondGraph::compile(&attrs);
     Ok(Schema {
+        conds,
+        identity: NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed),
         attrs,
         by_name,
         sources,
         targets,
         topo,
         topo_rank,
-        enabling_refs,
-        data_consumers,
-        enabling_consumers,
+        enabling_refs: Lists::new(enabling_refs.iter().map(Vec::as_slice)),
+        data_consumers: Lists::new(data_consumers.iter().map(Vec::as_slice)),
+        enabling_consumers: Lists::new(enabling_consumers.iter().map(Vec::as_slice)),
         edge_count,
     })
 }

@@ -294,6 +294,9 @@ type LiveTable = Arc<Mutex<HashMap<u64, String>>>;
 struct Instance {
     id: u64,
     shard: usize,
+    /// The runtime's schema, held here too so task jobs reach the task
+    /// bodies without taking the runtime lock.
+    schema: Arc<Schema>,
     runtime: Mutex<InstanceRuntime>,
     /// Submission entry time (`t0` of [`SubmitTimings`]): the zero
     /// point of both [`InstanceResult::elapsed`] and the `e2e` stage.
@@ -328,7 +331,8 @@ struct Instance {
     deadline: Option<Instant>,
     /// Set once the first completed pump has sent the result, so later
     /// pumps (racing workers, speculative stragglers) don't resend.
-    finished: Mutex<bool>,
+    /// Only set under the runtime lock, which orders it.
+    finished: AtomicBool,
     /// Scheduling-round counter for journaled instances (only ever
     /// touched under the runtime lock; atomic for `&self` access).
     rounds: AtomicU32,
@@ -351,9 +355,6 @@ struct Instance {
     /// The cross-request memo table, when the server was built with
     /// [`ServerBuilder::memoize`]; consulted before every task body.
     memo: Option<Arc<MemoTable>>,
-    /// Structural fingerprint of the instance's schema — the key space
-    /// shared by the memo table and the snapshot store.
-    schema_fp: u64,
 }
 
 thread_local! {
@@ -379,9 +380,7 @@ impl Instance {
                 // Racing pumps may observe completion concurrently;
                 // only the first sends (and snapshots the journal, so
                 // journal and record match frame-for-frame).
-                let mut sent = inst.finished.lock();
-                if !*sent {
-                    *sent = true;
+                if !inst.finished.swap(true, Ordering::Relaxed) {
                     // Commit the stabilized state as a versioned
                     // snapshot for future delta resubmissions —
                     // labeled requests only, since (schema
@@ -452,14 +451,14 @@ impl Instance {
                     });
                 }
             } else {
-                let schema = Arc::clone(rt.schema());
+                let schema = &*inst.schema;
                 let in_flight = rt.in_flight_count();
                 let recording = inst.recorder.is_some() || inst.wal.is_some();
                 if recording {
                     let cands = rt.candidates();
                     if !cands.is_empty() {
                         let picks =
-                            scheduler::select(&schema, rt.strategy(), cands.clone(), in_flight);
+                            scheduler::select(schema, rt.strategy(), cands.clone(), in_flight);
                         let round = inst.rounds.fetch_add(1, Ordering::Relaxed);
                         let event = Event::Round {
                             round,
@@ -490,7 +489,7 @@ impl Instance {
                     ROUND_BUF.with(|buf| {
                         let mut cands = buf.borrow_mut();
                         rt.candidates_into(&mut cands);
-                        scheduler::select_into(&schema, rt.strategy(), &mut cands, in_flight);
+                        scheduler::select_into(schema, rt.strategy(), &mut cands, in_flight);
                         for &a in cands.iter() {
                             let inputs = rt.launch(a);
                             launches.push((a, inputs));
@@ -537,22 +536,24 @@ impl Instance {
                 // body; everything around it — launch accounting,
                 // journal frames, completion delivery — is unchanged,
                 // which is what keeps recorded tapes byte-identical
-                // whether or not the cache hits.
-                let value = {
-                    let rt = inst2.runtime.lock();
-                    let schema = Arc::clone(rt.schema());
-                    drop(rt);
-                    match &inst2.memo {
-                        Some(memo) => match memo.lookup(inst2.schema_fp, attr, &inputs) {
+                // whether or not the cache hits. Entries are keyed by
+                // the schema's build identity: the structural
+                // fingerprint does not see task bodies, so two
+                // schemas equal in structure must not share results.
+                let task = &inst2.schema.attr(attr).task;
+                let value = match &inst2.memo {
+                    Some(memo) => {
+                        let key = inst2.schema.identity();
+                        match memo.lookup(key, attr, &inputs) {
                             Some(v) => v,
                             None => {
-                                let v = schema.attr(attr).task.compute(&inputs);
-                                memo.insert(inst2.schema_fp, attr, inputs, v.clone());
+                                let v = task.compute(&inputs);
+                                memo.insert(key, attr, inputs, v.clone());
                                 v
                             }
-                        },
-                        None => schema.attr(attr).task.compute(&inputs),
+                        }
                     }
+                    None => task.compute(&inputs),
                 };
                 {
                     let mut rt = inst2.runtime.lock();
@@ -841,10 +842,13 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
         deadline,
         timings,
     } = pending;
+    // The instance's snapshot-store key. Computed once per instance;
+    // caching it on the schema is an open ROADMAP item.
     let schema_fp = schema_fingerprint(&schema);
     let built = match build_runtime(
         h.scratch.take(),
-        schema,
+        Arc::clone(&schema),
+        schema_fp,
         strategy,
         &request,
         wal.clone(),
@@ -866,6 +870,7 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
     let inst = Arc::new(Instance {
         id,
         shard: h.index,
+        schema,
         runtime: Mutex::new(runtime),
         started: timings.t0,
         route: timings.route,
@@ -878,7 +883,7 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
         wal,
         label: request.label,
         deadline,
-        finished: Mutex::new(false),
+        finished: AtomicBool::new(false),
         rounds: AtomicU32::new(0),
         pool: Arc::clone(&h.pool),
         gauges: Arc::clone(&h.gauges),
@@ -889,7 +894,6 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
         scratch: Arc::clone(&h.scratch),
         state_store: Arc::clone(&h.state_store),
         memo: h.memo.clone(),
-        schema_fp,
     });
     Instance::pump(&inst);
 }
@@ -914,6 +918,7 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
 fn build_runtime(
     scratch: RuntimeScratch,
     schema: Arc<Schema>,
+    schema_fp: u64,
     strategy: Strategy,
     request: &Request,
     wal: Option<Arc<WalRecorder>>,
@@ -925,7 +930,7 @@ fn build_runtime(
         Some(DeltaSource::Label) => request
             .label
             .as_deref()
-            .and_then(|label| state_store.lookup(schema_fingerprint(&schema), label))
+            .and_then(|label| state_store.lookup(schema_fp, label))
             .and_then(|prior| plan_delta(&schema, &prior, &request.sources).ok()),
     };
     let retained = plan.as_ref().map_or(&[][..], |p| p.retained.as_slice());
@@ -3249,6 +3254,53 @@ mod tests {
                 .unwrap_or(0)
                 >= 2
         );
+    }
+
+    /// Two schemas equal in structure (so equal in
+    /// `schema_fingerprint`) whose one task body differs — a flow
+    /// re-registered after a fix to that body. A memoized server must
+    /// not answer the fixed flow with the old body's results.
+    #[test]
+    fn memo_separates_schemas_that_differ_only_in_task_bodies() {
+        let build = |offset: i64| {
+            let mut b = SchemaBuilder::new();
+            let s = b.source("s");
+            let t = b.query("t", 1, vec![s], Expr::Lit(true), move |ins| {
+                Value::Int(ins[0].as_f64().unwrap_or(0.0) as i64 + offset)
+            });
+            b.mark_target(t);
+            Arc::new(b.build().unwrap())
+        };
+        let (old, fixed) = (build(1), build(100));
+        assert_eq!(schema_fingerprint(&old), schema_fingerprint(&fixed));
+        assert_ne!(old.identity(), fixed.identity());
+        let server = EngineServer::builder()
+            .shards(1)
+            .workers_per_shard(1)
+            .strategy("PCE100".parse().unwrap())
+            .memoize(64)
+            .build()
+            .unwrap();
+        let mut sv = SourceValues::new();
+        sv.set(old.lookup("s").unwrap(), 5i64);
+        let run = |schema: &Arc<Schema>| {
+            server.register("flow", Arc::clone(schema));
+            let r = server
+                .submit(Request::named("flow").sources(sv.clone()))
+                .unwrap()
+                .wait()
+                .unwrap();
+            r.record.outcome("t").unwrap().value.clone()
+        };
+        assert_eq!(run(&old), Some(Value::Int(6)));
+        assert_eq!(
+            run(&fixed),
+            Some(Value::Int(105)),
+            "stale memo entry served"
+        );
+        assert_eq!(run(&fixed), Some(Value::Int(105)));
+        let memo = server.memo().expect("built with memoize");
+        assert_eq!((memo.misses(), memo.hits()), (2, 1));
     }
 
     #[test]
