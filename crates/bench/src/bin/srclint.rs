@@ -20,6 +20,12 @@
 //!   same or the previous line, naming what the sync makes durable —
 //!   fsyncs are the WAL's only persistence points *and* its dominant
 //!   cost, so each one must justify itself.
+//! * **One scheduling driver.** Anywhere in `decisionflow/src` and
+//!   `dflowperf/src`, only `engine/runtime.rs` and `engine/scheduler.rs`
+//!   may call `scheduler::select`/`select_into` or build an
+//!   `Event::Round` frame: every driver schedules through
+//!   `InstanceRuntime::round`, so what a round is and how it is
+//!   journaled lives in one place.
 //!
 //! Test modules (everything from the first `#[cfg(test)]` to end of
 //! file) and comment lines are exempt — tests may unwrap freely.
@@ -65,10 +71,10 @@ fn hot_path_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Every `.rs` file under `crates/decisionflow/src`, recursively.
-fn all_decisionflow_files(root: &Path) -> Vec<PathBuf> {
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: PathBuf) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    let mut stack = vec![root.join("crates/decisionflow/src")];
+    let mut stack = vec![dir];
     while let Some(dir) = stack.pop() {
         let entries =
             std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("read_dir {}: {e}", dir.display()));
@@ -161,12 +167,100 @@ fn lint_file(path: &Path, hot: bool, violations: &mut Vec<String>) {
     }
 }
 
+/// The files that may run a scheduling round by hand: the runtime's
+/// `round` step and the scheduler it calls.
+const ROUND_OWNERS: [&str; 2] = [
+    "crates/decisionflow/src/engine/runtime.rs",
+    "crates/decisionflow/src/engine/scheduler.rs",
+];
+
+/// Flag scheduler calls and `Event::Round` literals outside
+/// [`ROUND_OWNERS`]. The lintable lines are rejoined so a literal
+/// spanning several lines is read whole.
+fn lint_round_driver(path: &Path, violations: &mut Vec<String>) {
+    let source =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let mut text = String::new();
+    let mut starts = Vec::new();
+    for (lineno, line) in lintable_lines(&source) {
+        starts.push((text.len(), lineno));
+        text.push_str(line);
+        text.push('\n');
+    }
+    let line_at = |off: usize| starts[starts.partition_point(|&(o, _)| o <= off) - 1].1;
+    let rel = path.display();
+    for call in ["select(", "select_into("] {
+        for (off, _) in text.match_indices(call) {
+            let prev = text[..off].chars().next_back();
+            if prev.is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '.') {
+                continue;
+            }
+            violations.push(format!(
+                "{rel}:{}: `scheduler::{call}..)` outside the runtime — schedule through \
+                 `InstanceRuntime::round`",
+                line_at(off)
+            ));
+        }
+    }
+    for (off, m) in text.match_indices("Event::Round") {
+        if builds_round(&text[off + m.len()..]) {
+            violations.push(format!(
+                "{rel}:{}: `Event::Round` built outside the runtime — rounds are journaled \
+                 only by `InstanceRuntime::round`",
+                line_at(off)
+            ));
+        }
+    }
+}
+
+/// Is the `Event::Round` path followed by `rest` a struct literal that
+/// builds a frame, rather than a pattern? A pattern has a bare `..`
+/// field or is followed by `=>`, `|` or `=`.
+fn builds_round(rest: &str) -> bool {
+    let Some(body) = rest.trim_start().strip_prefix('{') else {
+        return false;
+    };
+    let mut depth = 0usize;
+    let mut field = String::new();
+    let mut rest_field = false;
+    for (i, c) in body.char_indices() {
+        match c {
+            '{' | '(' | '[' => depth += 1,
+            '}' | ')' | ']' if depth > 0 => depth -= 1,
+            ',' | '}' if depth == 0 => {
+                rest_field |= field.trim() == "..";
+                field.clear();
+                if c == ',' {
+                    continue;
+                }
+                let after = body[i + 1..].trim_start();
+                let pattern = rest_field
+                    || after.starts_with("=>")
+                    || (after.starts_with('|') && !after.starts_with("||"))
+                    || (after.starts_with('=') && !after.starts_with("=="));
+                return !pattern;
+            }
+            _ => {}
+        }
+        field.push(c);
+    }
+    false
+}
+
 fn main() -> ExitCode {
     let root = repo_root();
     let hot: Vec<PathBuf> = hot_path_files(&root);
     let mut violations = Vec::new();
-    for path in all_decisionflow_files(&root) {
+    for path in rust_files(root.join("crates/decisionflow/src")) {
         lint_file(&path, hot.contains(&path), &mut violations);
+    }
+    let owners: Vec<PathBuf> = ROUND_OWNERS.iter().map(|f| root.join(f)).collect();
+    for dir in ["crates/decisionflow/src", "crates/dflowperf/src"] {
+        for path in rust_files(root.join(dir)) {
+            if !owners.contains(&path) {
+                lint_round_driver(&path, &mut violations);
+            }
+        }
     }
     if violations.is_empty() {
         println!("srclint: clean");
@@ -177,5 +271,33 @@ fn main() -> ExitCode {
         }
         eprintln!("srclint: {} violation(s)", violations.len());
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::builds_round;
+
+    #[test]
+    fn round_literals_are_told_from_patterns() {
+        // Constructions: the argument of a call, a `let` initializer.
+        assert!(builds_round(" { round, candidates, picked: p.clone() });"));
+        assert!(builds_round(
+            " {\n    round: 0,\n    candidates: (0..n).collect(),\n    picked,\n};"
+        ));
+        // Patterns: a rest field, a match arm, an or-pattern, `let`.
+        assert!(!builds_round(" { .. } => \"round\","));
+        assert!(!builds_round(" { round, .. })"));
+        assert!(!builds_round(
+            " {\n    round,\n    candidates,\n    picked,\n} => {"
+        ));
+        assert!(!builds_round(
+            " { round, candidates, picked } | other => {}"
+        ));
+        assert!(!builds_round(
+            " { round, candidates, picked } = event else {"
+        ));
+        // A path without a brace is neither.
+        assert!(!builds_round("\n"));
     }
 }

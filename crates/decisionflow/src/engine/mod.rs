@@ -11,9 +11,13 @@
 //! 3. **Scheduling** — the heuristics pick which candidates to launch
 //!    ([`scheduler::select`]).
 //!
-//! [`unit_exec::run_unit_time`] wires the loop to an infinite-resource
-//! unit-time clock; finite-resource execution against the simulated
-//! database lives in the `dflowperf` crate, reusing the same runtime.
+//! Phases 2 and 3 run as one step, [`InstanceRuntime::round`]: it reads
+//! the pool, selects under `%Permitted`, launches the picks, and
+//! journals the round when a sink is attached. Every driver calls it —
+//! [`unit_exec::run_unit_time`] on an infinite-resource unit-time
+//! clock, the sharded server, the `dflowperf` simulation against the
+//! finite-resource database, and journal replay — so none of them
+//! schedules or records a round by hand.
 
 pub mod metrics;
 pub mod runtime;

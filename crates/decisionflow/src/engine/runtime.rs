@@ -45,6 +45,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::engine::metrics::InstanceMetrics;
+use crate::engine::scheduler;
 use crate::engine::strategy::Strategy;
 use crate::expr::{AttrView, Tri, ValueEnv};
 use crate::journal::{Event, JournalSink};
@@ -69,9 +70,9 @@ pub struct RuntimeOptions {
 /// server's submission hot path that cost is paid once per instance.
 /// A scratch holds those buffers after an instance retires
 /// ([`InstanceRuntime::reclaim`]) so the next construction on the same
-/// shard ([`InstanceRuntime::with_options_in`]) reuses the capacity
-/// instead of round-tripping the allocator. A `Default` scratch is
-/// empty and behaves exactly like allocating fresh.
+/// shard ([`InstanceRuntime::with_options_retained_in`]) reuses the
+/// capacity instead of round-tripping the allocator. A `Default`
+/// scratch is empty and behaves exactly like allocating fresh.
 #[derive(Default)]
 pub struct RuntimeScratch {
     state: Vec<AttrState>,
@@ -164,6 +165,9 @@ struct Core {
     /// Flight recorder for the journal subsystem. `None` (the default)
     /// keeps the hot path at a single branch per event site.
     sink: Option<Box<dyn JournalSink>>,
+    /// Number of the next journaled `Round` frame: counts the rounds
+    /// [`InstanceRuntime::round`] recorded so far.
+    rounds: u32,
 }
 
 /// The runtime cannot make progress although targets are unstable —
@@ -232,54 +236,6 @@ impl InstanceRuntime {
             None,
             RuntimeScratch::default(),
         )
-    }
-
-    /// Like [`InstanceRuntime::with_options`], building into a
-    /// reclaimed [`RuntimeScratch`] so the per-attribute vectors reuse
-    /// a retired instance's capacity instead of allocating fresh.
-    pub fn with_options_in(
-        scratch: RuntimeScratch,
-        schema: Arc<Schema>,
-        strategy: Strategy,
-        sources: &SourceValues,
-        options: RuntimeOptions,
-    ) -> Result<Self, SnapshotError> {
-        Self::build(schema, strategy, sources, &[], options, None, scratch)
-    }
-
-    /// Like [`InstanceRuntime::with_options`], additionally recording
-    /// every engine control decision into `sink` — including the
-    /// eager decisions made during initialization, which is why the
-    /// sink must be supplied at construction.
-    pub fn with_options_recorded(
-        schema: Arc<Schema>,
-        strategy: Strategy,
-        sources: &SourceValues,
-        options: RuntimeOptions,
-        sink: Box<dyn JournalSink>,
-    ) -> Result<Self, SnapshotError> {
-        Self::build(
-            schema,
-            strategy,
-            sources,
-            &[],
-            options,
-            Some(sink),
-            RuntimeScratch::default(),
-        )
-    }
-
-    /// Like [`InstanceRuntime::with_options_recorded`], building into a
-    /// reclaimed [`RuntimeScratch`].
-    pub fn with_options_recorded_in(
-        scratch: RuntimeScratch,
-        schema: Arc<Schema>,
-        strategy: Strategy,
-        sources: &SourceValues,
-        options: RuntimeOptions,
-        sink: Box<dyn JournalSink>,
-    ) -> Result<Self, SnapshotError> {
-        Self::build(schema, strategy, sources, &[], options, Some(sink), scratch)
     }
 
     /// Delta-resubmission construction: like
@@ -359,6 +315,7 @@ impl InstanceRuntime {
             retained: 0,
             metrics: InstanceMetrics::new(),
             sink,
+            rounds: 0,
         };
         core.initialize(&schema, sources, retained);
         Ok(InstanceRuntime { schema, core })
@@ -510,21 +467,43 @@ impl InstanceRuntime {
         c.pool.truncate(w);
     }
 
+    /// One scheduling round — the prequalify + schedule step of the
+    /// three-phase loop: reads the candidate pool into `picks`, keeps
+    /// the prefix [`scheduler::select_into`] allows given the tasks
+    /// already in flight, and launches each pick in order. On return
+    /// `picks` holds the launched attributes; their task bodies read
+    /// [`input_values`](Self::input_values).
+    ///
+    /// When a journal sink is attached and the pool was non-empty, the
+    /// round is journaled as one [`Event::Round`] frame (pool and
+    /// picks) ahead of the `Launch` frames it causes. The pool is
+    /// cloned only then, so an unrecorded round allocates nothing
+    /// beyond `picks`' capacity.
+    pub fn round(&mut self, picks: &mut Vec<AttrId>) {
+        self.candidates_into(picks);
+        let c = &mut self.core;
+        let pool = (c.recording() && !picks.is_empty()).then(|| picks.clone());
+        scheduler::select_into(&self.schema, c.strategy, picks, c.in_flight_count);
+        if let Some(candidates) = pool {
+            let round = c.rounds;
+            c.rounds += 1;
+            c.emit(Event::Round {
+                round,
+                candidates,
+                picked: picks.clone(),
+            });
+        }
+        for &a in picks.iter() {
+            self.commit_launch(a);
+        }
+    }
+
     /// Commit to executing `a`'s task: records the work (queries are
     /// never cancelled once sent) and returns the input values for the
     /// task body. Panics if `a` is not a valid candidate.
     pub fn launch(&mut self, a: AttrId) -> Vec<Value> {
         self.commit_launch(a);
         self.input_values(a)
-    }
-
-    /// [`launch`](Self::launch) writing the input values into a
-    /// caller-owned buffer (cleared first), so a driver that runs the
-    /// task body in place reuses one buffer across launches.
-    pub(crate) fn launch_into(&mut self, a: AttrId, inputs: &mut Vec<Value>) {
-        self.commit_launch(a);
-        inputs.clear();
-        self.push_inputs(a, inputs);
     }
 
     fn commit_launch(&mut self, a: AttrId) {
@@ -544,11 +523,15 @@ impl InstanceRuntime {
     /// unless every input has stabilized.
     pub fn input_values(&self, a: AttrId) -> Vec<Value> {
         let mut out = Vec::with_capacity(self.schema.attr(a).inputs.len());
-        self.push_inputs(a, &mut out);
+        self.input_values_into(a, &mut out);
         out
     }
 
-    fn push_inputs(&self, a: AttrId, out: &mut Vec<Value>) {
+    /// [`input_values`](Self::input_values) into a caller-owned buffer
+    /// (cleared first), so a driver that runs task bodies in place
+    /// reuses one buffer across launches.
+    pub(crate) fn input_values_into(&self, a: AttrId, out: &mut Vec<Value>) {
+        out.clear();
         out.extend(self.schema.attr(a).inputs.iter().map(|&i| {
             assert!(
                 self.core.state[i.index()].is_stable(),

@@ -17,9 +17,8 @@ use std::sync::Arc;
 
 use crate::engine::metrics::InstanceMetrics;
 use crate::engine::runtime::{InstanceRuntime, RuntimeOptions, Stalled};
-use crate::engine::scheduler;
 use crate::engine::strategy::Strategy;
-use crate::journal::{Event, Journal, JournalWriter, SharedJournalWriter};
+use crate::journal::{Journal, JournalWriter, SharedJournalWriter};
 use crate::schema::{AttrId, Schema};
 use crate::snapshot::{SnapshotError, SourceValues};
 use crate::state::AttrState;
@@ -141,7 +140,7 @@ pub(crate) fn execute(
                 options,
                 None,
             )?;
-            return drive(schema, strategy, rt, None).map(|out| (out, None));
+            return drive(schema, rt).map(|out| (out, None));
         }
         JournalMode::Memory => {
             SharedJournalWriter::new(JournalWriter::new(schema, strategy, sources))
@@ -159,7 +158,7 @@ pub(crate) fn execute(
         options,
         Some(Box::new(recorder.clone())),
     )?;
-    let outcome = drive(schema, strategy, rt, Some(&recorder))?;
+    let outcome = drive(schema, rt)?;
     // Streaming: seal the tape (header for empty instances, footer,
     // flush) and surface any sink error; the journal lives on the
     // sink, not in the report. Buffered: freeze the frames.
@@ -189,19 +188,13 @@ pub fn run_unit_time_with_options(
     execute(schema, strategy, sources, &[], options, JournalMode::Off).map(|(out, _)| out)
 }
 
-/// The three-phase loop against the unit-time calendar, optionally
-/// recording scheduling rounds into `recorder` (launches, completions
-/// and propagation events are emitted by the runtime itself).
-fn drive(
-    schema: &Arc<Schema>,
-    strategy: Strategy,
-    mut rt: InstanceRuntime,
-    recorder: Option<&SharedJournalWriter>,
-) -> Result<UnitOutcome, ExecError> {
+/// The three-phase loop against the unit-time calendar. A recording
+/// runtime journals its own rounds, launches, completions and
+/// propagation events.
+fn drive(schema: &Arc<Schema>, mut rt: InstanceRuntime) -> Result<UnitOutcome, ExecError> {
     let mut calendar: BinaryHeap<Completion> = BinaryHeap::new();
     let mut now = 0u64;
     let mut seq = 0u64;
-    let mut round = 0u32;
     let mut picks: Vec<AttrId> = Vec::new();
     let mut inputs: Vec<Value> = Vec::new();
 
@@ -212,26 +205,10 @@ fn drive(
             // `work` (committed at launch) but does not delay response.
             break;
         }
-        // Scheduling phase: launch what %Permitted allows.
-        rt.candidates_into(&mut picks);
-        let in_flight = rt.in_flight_count();
-        match recorder {
-            // Journal the round (pool + picks) before the launches it
-            // causes, so replay re-derives the same frame order.
-            Some(rec) if !picks.is_empty() => {
-                let candidates = picks.clone();
-                scheduler::select_into(schema, strategy, &mut picks, in_flight);
-                rec.record(Event::Round {
-                    round,
-                    candidates,
-                    picked: picks.clone(),
-                });
-                round += 1;
-            }
-            _ => scheduler::select_into(schema, strategy, &mut picks, in_flight),
-        }
+        // Prequalify + schedule: launch what %Permitted allows.
+        rt.round(&mut picks);
         for &a in &picks {
-            rt.launch_into(a, &mut inputs);
+            rt.input_values_into(a, &mut inputs);
             let value = schema.attr(a).task.compute(&inputs);
             calendar.push(Completion {
                 at: now + schema.cost(a),

@@ -32,17 +32,22 @@ pub struct Frame {
 ///
 /// Events split into two classes:
 ///
-/// * **driver events** ([`Event::Round`], [`Event::Complete`]) inject
-///   the only nondeterministic inputs of an execution — which tasks
-///   were scheduled, and in which order the external system returned
-///   results. Replay re-injects them from the journal.
+/// * **driver events** ([`Event::Round`], [`Event::Complete`]) mark
+///   the only nondeterministic inputs of an execution — when the
+///   driver ran a scheduling round, and in which order the external
+///   system returned results. The runtime emits `Round` from its
+///   [`round`](crate::engine::InstanceRuntime::round) step; replay
+///   runs a live round at each recorded one and verifies the frame it
+///   emits, and re-injects completions from the journal.
 /// * **engine events** (the rest) are deterministic consequences the
 ///   runtime emits itself; replay re-derives them and cross-checks
 ///   them frame-by-frame against the journal.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Event {
     /// A scheduling round: the prequalified candidate pool presented to
-    /// the scheduler and the subset it picked for launch.
+    /// the scheduler and the subset it picked for launch. Emitted only
+    /// by [`InstanceRuntime::round`](crate::engine::InstanceRuntime::round),
+    /// ahead of the `Launch` frames of its picks.
     Round {
         /// Dense scheduling-round counter.
         round: u32,

@@ -12,8 +12,10 @@
 //!   detections, launches, stabilizations) through the [`JournalSink`]
 //!   trait — a no-op by default, so the un-journaled hot path pays one
 //!   `Option` test per event site;
-//! * drivers emit the two nondeterministic inputs: scheduling rounds
-//!   (candidate pool + picks) and task-completion delivery order;
+//! * drivers choose the two nondeterministic inputs — when scheduling
+//!   rounds run and in which order task completions are delivered —
+//!   and the runtime's one [`round`](crate::engine::InstanceRuntime::round)
+//!   step journals each round (candidate pool + picks);
 //! * [`ReplayEngine`] re-runs the instance from the journal alone
 //!   (plus the schema, since task bodies are code), re-deriving every
 //!   engine event and cross-checking it against the recorded stream —

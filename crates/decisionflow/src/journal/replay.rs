@@ -2,8 +2,13 @@
 //!
 //! Replay rebuilds the instance runtime from the journal's embedded
 //! source bindings and re-drives it using only the journal's **driver
-//! events**: scheduling rounds and completion-delivery order — the two
-//! nondeterministic inputs of any execution. Everything else (condition
+//! events**: when scheduling rounds ran and in which order completions
+//! were delivered — the two nondeterministic inputs of any execution.
+//! A recorded `Round` is the cue to run one live
+//! [`InstanceRuntime::round`]; the `Round` frame that step emits (pool
+//! and picks) is verified against the tape, not injected from it. A
+//! differing pool is reported as a candidate mismatch, the same pool
+//! with different picks as a pick mismatch. Everything else (condition
 //! verdicts, propagation, unneeded detection, launches, stabilization)
 //! is re-derived live by the very same engine code and cross-checked
 //! frame-by-frame against the recorded stream. Task values are
@@ -18,10 +23,9 @@
 use std::sync::Arc;
 
 use crate::engine::runtime::{InstanceRuntime, RuntimeOptions};
-use crate::engine::scheduler;
 use crate::engine::strategy::Strategy;
 use crate::journal::divergence::{Divergence, DivergenceKind};
-use crate::journal::frame::{Clock, Event};
+use crate::journal::frame::{Clock, Event, Frame};
 use crate::journal::writer::{JournalWriter, SharedJournalWriter};
 use crate::journal::{schema_fingerprint, Journal, SCHEMA_VERSION};
 use crate::report::ExecutionRecord;
@@ -209,6 +213,7 @@ impl ReplayEngine {
         // Index into `recorded` == number of frames verified == next
         // expected logical clock (clocks are dense from 0).
         let mut cursor: usize = 0;
+        let mut picks: Vec<AttrId> = Vec::new();
 
         loop {
             // Sync: every frame the live engine has emitted must match
@@ -220,15 +225,7 @@ impl ReplayEngine {
                 let live = recorder.frame(cursor).expect("frame below len");
                 match recorded.get(cursor) {
                     Some(rec) if *rec == live => cursor += 1,
-                    rec => {
-                        return Err(Divergence::at(
-                            cursor as Clock,
-                            DivergenceKind::FrameMismatch {
-                                recorded: rec.cloned().map(Box::new),
-                                replayed: Some(Box::new(live)),
-                            },
-                        ))
-                    }
+                    rec => return Err(Divergence::at(cursor as Clock, mismatch(rec, live))),
                 }
             }
             if cursor as Clock >= stop_clock {
@@ -241,45 +238,21 @@ impl ReplayEngine {
                 Some(f) => f,
             };
             match &frame.event {
-                Event::Round {
-                    round,
-                    candidates,
-                    picked,
-                } => {
-                    let live_candidates = rt.candidates();
-                    if live_candidates != *candidates {
+                Event::Round { candidates, .. } => {
+                    // Run the round live; the sync loop above checks
+                    // the `Round` and `Launch` frames it emits. An
+                    // empty live pool emits nothing, which would leave
+                    // this frame pending forever.
+                    let emitted = recorder.len();
+                    rt.round(&mut picks);
+                    if recorder.len() == emitted {
                         return Err(Divergence::at(
                             frame.clock,
                             DivergenceKind::CandidateMismatch {
                                 recorded: candidates.clone(),
-                                replayed: live_candidates,
+                                replayed: Vec::new(),
                             },
                         ));
-                    }
-                    let live_picks = scheduler::select(
-                        &self.schema,
-                        self.strategy,
-                        live_candidates.clone(),
-                        rt.in_flight_count(),
-                    );
-                    if live_picks != *picked {
-                        return Err(Divergence::at(
-                            frame.clock,
-                            DivergenceKind::PickMismatch {
-                                recorded: picked.clone(),
-                                replayed: live_picks,
-                            },
-                        ));
-                    }
-                    recorder.record(Event::Round {
-                        round: *round,
-                        candidates: live_candidates,
-                        picked: live_picks.clone(),
-                    });
-                    for a in live_picks {
-                        // Picks came from `select` over the live pool,
-                        // so `launch` cannot assert.
-                        let _inputs = rt.launch(a);
                     }
                 }
                 Event::Complete { attr, value } => {
@@ -320,5 +293,42 @@ impl ReplayEngine {
         }
 
         Ok((rt, recorder, cursor as Clock))
+    }
+}
+
+/// Classify the first live frame that disagrees with the tape. Two
+/// `Round` frames differ in their pools (a candidate mismatch) or, over
+/// the same pool, in their picks (a pick mismatch); anything else is a
+/// plain frame mismatch.
+fn mismatch(recorded: Option<&Frame>, live: Frame) -> DivergenceKind {
+    if let Some(rec) = recorded {
+        if let (
+            Event::Round {
+                candidates, picked, ..
+            },
+            Event::Round {
+                candidates: live_candidates,
+                picked: live_picked,
+                ..
+            },
+        ) = (&rec.event, &live.event)
+        {
+            if candidates != live_candidates {
+                return DivergenceKind::CandidateMismatch {
+                    recorded: candidates.clone(),
+                    replayed: live_candidates.clone(),
+                };
+            }
+            if picked != live_picked {
+                return DivergenceKind::PickMismatch {
+                    recorded: picked.clone(),
+                    replayed: live_picked.clone(),
+                };
+            }
+        }
+    }
+    DivergenceKind::FrameMismatch {
+        recorded: recorded.cloned().map(Box::new),
+        replayed: Some(Box::new(live)),
     }
 }

@@ -311,7 +311,7 @@ impl SharedJournalWriter {
         self.0.lock().frames.get(index).cloned()
     }
 
-    /// Record a driver event directly (scheduling rounds).
+    /// Record an event directly, outside any runtime.
     pub fn record(&self, event: Event) {
         self.0.lock().record(event);
     }

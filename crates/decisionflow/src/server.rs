@@ -50,10 +50,13 @@
 //!   execute) N instances truly concurrently;
 //! * every scheduling round — including the *first* one, which runs
 //!   on the same worker that built the runtime — re-enters the
-//!   three-phase loop (evaluate → prequalify → schedule) under the
-//!   instance lock; new launches go back to the owning shard's pool,
-//!   so on a 1-worker shard the job queue (and any recorded journal,
-//!   fan-out flows included) is byte-deterministic;
+//!   three-phase loop under the instance lock: one
+//!   [`InstanceRuntime::round`] prequalifies, schedules, launches, and
+//!   (for a journaled or durable instance) records the round through
+//!   the runtime's own sink, which tees the live journal and the WAL;
+//!   new launches go back to the owning shard's pool, so on a 1-worker
+//!   shard the job queue (and any recorded journal, fan-out flows
+//!   included) is byte-deterministic;
 //! * each shard maintains lock-free [`ShardGauges`] (queue depth,
 //!   in-flight instances, submitted/completed/abandoned counters)
 //!   which [`EngineServer::stats`] aggregates into a [`ServerStats`]
@@ -86,7 +89,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -97,7 +100,7 @@ use crate::api::{
     DeltaSource, EventHub, InstanceEvent, LiveInstance, Request, ServerEvents, Ticket, TicketBatch,
 };
 use crate::engine::{
-    scheduler, InstanceRuntime, RuntimeOptions, RuntimeScratch, ServerStats, ShardGauges, Strategy,
+    InstanceRuntime, RuntimeOptions, RuntimeScratch, ServerStats, ShardGauges, Strategy,
 };
 use crate::journal::{
     bind_sources, schema_fingerprint, Event, Journal, JournalSink, JournalWriter,
@@ -333,9 +336,6 @@ struct Instance {
     /// pumps (racing workers, speculative stragglers) don't resend.
     /// Only set under the runtime lock, which orders it.
     finished: AtomicBool,
-    /// Scheduling-round counter for journaled instances (only ever
-    /// touched under the runtime lock; atomic for `&self` access).
-    rounds: AtomicU32,
     /// The owning shard's pool, gauges, live-table slice, and the
     /// server-wide event hub.
     pool: Arc<WorkerPool>,
@@ -358,8 +358,8 @@ struct Instance {
 }
 
 thread_local! {
-    /// Per-worker candidate buffer, reused across scheduling rounds so
-    /// the prequalify → schedule hop allocates nothing.
+    /// Per-worker pick buffer, reused across scheduling rounds so the
+    /// prequalify → schedule hop allocates nothing.
     static ROUND_BUF: RefCell<Vec<AttrId>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -451,51 +451,17 @@ impl Instance {
                     });
                 }
             } else {
-                let schema = &*inst.schema;
-                let in_flight = rt.in_flight_count();
-                let recording = inst.recorder.is_some() || inst.wal.is_some();
-                if recording {
-                    let cands = rt.candidates();
-                    if !cands.is_empty() {
-                        let picks =
-                            scheduler::select(schema, rt.strategy(), cands.clone(), in_flight);
-                        let round = inst.rounds.fetch_add(1, Ordering::Relaxed);
-                        let event = Event::Round {
-                            round,
-                            candidates: cands,
-                            picked: picks.clone(),
-                        };
-                        // Both recorders see the identical event under
-                        // the same runtime-lock hold, so their logical
-                        // clocks advance in lockstep and a journal
-                        // reconstructed from the WAL matches the live
-                        // capture.
-                        if let Some(recorder) = &inst.recorder {
-                            recorder.record(event.clone());
-                        }
-                        if let Some(wal) = &inst.wal {
-                            wal.record(event);
-                        }
-                        for a in picks {
-                            let inputs = rt.launch(a);
-                            launches.push((a, inputs));
-                        }
-                    }
-                } else {
-                    // Unrecorded rounds (the hot path) run through the
-                    // worker's thread-local candidate buffer: the whole
-                    // prequalify → schedule → launch hop is
-                    // allocation-free apart from the input values.
-                    ROUND_BUF.with(|buf| {
-                        let mut cands = buf.borrow_mut();
-                        rt.candidates_into(&mut cands);
-                        scheduler::select_into(schema, rt.strategy(), &mut cands, in_flight);
-                        for &a in cands.iter() {
-                            let inputs = rt.launch(a);
-                            launches.push((a, inputs));
-                        }
-                    });
-                }
+                // One scheduling round through the worker's
+                // thread-local pick buffer: unrecorded, the prequalify
+                // → schedule → launch hop allocates nothing apart from
+                // the input values. A recording runtime journals the
+                // round through its sink, which tees the live recorder
+                // and the WAL under this same lock hold.
+                ROUND_BUF.with(|buf| {
+                    let mut picks = buf.borrow_mut();
+                    rt.round(&mut picks);
+                    launches.extend(picks.iter().map(|&a| (a, rt.input_values(a))));
+                });
             }
         }
         if let Some(result) = finished {
@@ -884,7 +850,6 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
         label: request.label,
         deadline,
         finished: AtomicBool::new(false),
-        rounds: AtomicU32::new(0),
         pool: Arc::clone(&h.pool),
         gauges: Arc::clone(&h.gauges),
         live: Arc::clone(&h.live),
@@ -2223,6 +2188,7 @@ mod tests {
     use crate::state::AttrState;
     use crate::task::Task;
     use crate::value::Value;
+    use std::sync::atomic::AtomicU32;
 
     /// Fan-out/fan-in schema with a gated branch; task bodies sleep a
     /// little so true concurrency is exercised.

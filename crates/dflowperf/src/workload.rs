@@ -51,10 +51,11 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use decisionflow::api::Request;
-use decisionflow::engine::{scheduler, InstanceRuntime, RuntimeOptions, ServerStats, Strategy};
+use decisionflow::engine::{InstanceRuntime, RuntimeOptions, ServerStats, Strategy};
 use decisionflow::schema::AttrId;
 use decisionflow::server::{EngineServer, ServerBuildError};
 use decisionflow::snapshot::complete_snapshot;
+use decisionflow::statestore::inputs_fingerprint;
 use decisionflow::telemetry::TelemetrySnapshot;
 use decisionflow::value::Value;
 use desim::{exp_time, Model, Scheduler, SimTime, Simulation, Tally};
@@ -914,14 +915,6 @@ struct SimDriver<'a> {
     shared_query_cache: bool,
 }
 
-fn inputs_fingerprint(inputs: &[Value]) -> u64 {
-    let mut h = 0xCAFE_F00Du64;
-    for v in inputs {
-        h = h.rotate_left(17) ^ v.fingerprint();
-    }
-    h
-}
-
 impl SimDriver<'_> {
     fn spawn_instance(&mut self, sched: &mut Scheduler<Ev>) -> usize {
         let i = self.insts.len();
@@ -948,24 +941,21 @@ impl SimDriver<'_> {
     /// zero-cost tasks complete inline, possibly enabling more
     /// launches, so iterate to quiescence.
     fn pump(&mut self, i: usize, sched: &mut Scheduler<Ev>) {
+        let flow_idx = i % self.workload.flows.len();
+        let mut picks = Vec::new();
         loop {
             if self.insts[i].done {
                 return;
             }
-            let slot = &mut self.insts[i];
-            let schema = std::sync::Arc::clone(slot.rt.schema());
-            let in_flight = slot.rt.in_flight_count();
-            let cands = slot.rt.candidates();
-            let picks = scheduler::select(&schema, self.strategy, cands, in_flight);
+            self.insts[i].rt.round(&mut picks);
             if picks.is_empty() {
                 break;
             }
             let mut immediate = Vec::new();
-            for a in picks {
-                let flow_idx = i % self.workload.flows.len();
-                let slot = &mut self.insts[i];
-                let inputs = slot.rt.launch(a);
-                let schema = slot.rt.schema();
+            for &a in &picks {
+                let rt = &self.insts[i].rt;
+                let inputs = rt.input_values(a);
+                let schema = rt.schema();
                 let value = schema.attr(a).task.compute(&inputs);
                 let cost = schema.cost(a);
                 if self.shared_query_cache {
@@ -1143,7 +1133,8 @@ impl Backend for SimDb {
 // Server backend
 // ---------------------------------------------------------------------------
 
-/// The real sharded multi-threaded [`EngineServer`]. Closed arrivals
+/// The real sharded multi-threaded [`EngineServer`], built privately
+/// for each run, which then goes through [`OnServer`]. Closed arrivals
 /// reproduce the batched-wave harness (`submit_many`, one wave awaited
 /// before the next); Poisson arrivals run an open pacing loop on the
 /// calling thread that submits on schedule, **reacts to
@@ -1186,7 +1177,7 @@ impl Default for Server {
 }
 
 impl Server {
-    fn build(&self, strategy: Strategy, workload: &Workload) -> Result<EngineServer, LoadError> {
+    fn build(&self, strategy: Strategy) -> Result<EngineServer, LoadError> {
         if self.workers_per_shard == 0 {
             return Err(LoadError::config("workers_per_shard must be positive"));
         }
@@ -1205,21 +1196,7 @@ impl Server {
         if self.memoize > 0 {
             builder = builder.memoize(self.memoize);
         }
-        let server = builder
-            .build()
-            .map_err(|e| LoadError::Exec(e.to_string()))?;
-        register_flows(&server, workload);
-        Ok(server)
-    }
-}
-
-/// Register the workload's flows into `server` as `flow0`, `flow1`, …
-/// — the names [`server_request`] submits against. [`OnServer`] calls
-/// this on a *caller-owned* server, overwriting any schemas previously
-/// registered under those names.
-fn register_flows(server: &EngineServer, workload: &Workload) {
-    for (i, flow) in workload.flows.iter().enumerate() {
-        server.register(format!("flow{i}"), std::sync::Arc::clone(&flow.schema));
+        builder.build().map_err(|e| LoadError::Exec(e.to_string()))
     }
 }
 
@@ -1242,6 +1219,8 @@ fn server_request(workload: &Workload, strategy: Strategy, i: usize, durable: bo
 
 /// Closed waves against an already-built server: `clients`-sized
 /// `submit_many` batches, each wave awaited before the next.
+/// `wave_requests(next, n)` builds the `n` requests of the wave that
+/// starts at instance `next`.
 fn run_closed_on(
     server: &EngineServer,
     backend: &'static str,
@@ -1249,7 +1228,7 @@ fn run_closed_on(
     strategy: Strategy,
     total: usize,
     clients: usize,
-    durable: bool,
+    mut wave_requests: impl FnMut(usize, usize) -> Vec<Request>,
 ) -> Result<LoadReport, LoadError> {
     let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
     let mut shards_seen = std::collections::HashSet::new();
@@ -1266,7 +1245,7 @@ fn run_closed_on(
             measure_t0 = Some(Instant::now());
         }
         let tickets = server
-            .submit_many((0..wave).map(|k| server_request(workload, strategy, next + k, durable)))
+            .submit_many(wave_requests(next, wave))
             .map_err(|e| LoadError::Exec(e.to_string()))?;
         for (k, t) in tickets.into_iter().enumerate() {
             acc.settle_ticket(next + k, t, &mut shards_seen);
@@ -1275,7 +1254,7 @@ fn run_closed_on(
     }
     let wall = t0.elapsed();
     let measured_wall = measure_t0.map(|t| t.elapsed()).unwrap_or(wall);
-    let mut report = acc.into_report(ReportFrame {
+    let frame = ReportFrame {
         backend,
         workload,
         strategy,
@@ -1283,19 +1262,32 @@ fn run_closed_on(
         window_secs: measured_wall.as_secs_f64().max(1e-9),
         wall,
         latency_unit: LatencyUnit::Millis,
-    });
-    // A durable run quiesces the WAL before the snapshot, so the
-    // report's `wal_*` metrics cover every append the run enqueued.
+    };
+    Ok(server_report(server, acc, frame, shards_seen.len(), None))
+}
+
+/// The report of a server run: the run's accounting, then a snapshot
+/// of the server's own stats and telemetry. A durable run quiesces the
+/// WAL before the snapshot, so the report's `wal_*` metrics cover
+/// every append the run enqueued.
+fn server_report(
+    server: &EngineServer,
+    acc: Accounting,
+    frame: ReportFrame<'_>,
+    shards_used: usize,
+    pacer: Option<PacerStats>,
+) -> LoadReport {
+    let mut report = acc.into_report(frame);
     if let Some(store) = server.store() {
         let _ = store.sync();
     }
     report.server = Some(ServerSideStats {
         stats: server.stats(),
-        shards_used: shards_seen.len(),
+        shards_used,
         telemetry: server.telemetry().snapshot(),
-        pacer: None,
+        pacer,
     });
-    Ok(report)
+    report
 }
 
 /// Deterministic per-wave source perturbation for resubmission churn:
@@ -1348,74 +1340,6 @@ fn resub_request(
         req = req.deadline(budget);
     }
     req
-}
-
-/// Closed resubmission waves against an already-built server: wave 0
-/// seeds every client's snapshot cold, later waves resubmit the same
-/// labels — each as a delta with probability `delta_rate` (seeded by
-/// [`Workload::seed`], so two runs offer the identical request
-/// sequence). Waves are awaited like [`run_closed_on`]'s, which also
-/// guarantees every delta resubmission finds its client's previous
-/// completion already committed.
-#[allow(clippy::too_many_arguments)]
-fn run_resub_on(
-    server: &EngineServer,
-    backend: &'static str,
-    workload: &Workload,
-    strategy: Strategy,
-    total: usize,
-    clients: usize,
-    delta_rate: f64,
-    churn: usize,
-    durable: bool,
-) -> Result<LoadReport, LoadError> {
-    let mut acc = Accounting::new(workload.warmup, workload.deadline.is_some());
-    let mut shards_seen = std::collections::HashSet::new();
-    let mut rng = StdRng::seed_from_u64(workload.seed);
-    let t0 = Instant::now();
-    let mut measure_t0: Option<Instant> = None;
-    let mut next = 0usize;
-    while next < total {
-        let wave_n = clients.min(total - next);
-        let wave = next / clients;
-        if measure_t0.is_none() && next + wave_n > workload.warmup {
-            measure_t0 = Some(Instant::now());
-        }
-        let requests: Vec<Request> = (0..wave_n)
-            .map(|c| {
-                let delta = rng.gen_bool(delta_rate);
-                resub_request(workload, strategy, c, wave, churn, delta, durable)
-            })
-            .collect();
-        let tickets = server
-            .submit_many(requests)
-            .map_err(|e| LoadError::Exec(e.to_string()))?;
-        for (k, t) in tickets.into_iter().enumerate() {
-            acc.settle_ticket(next + k, t, &mut shards_seen);
-        }
-        next += wave_n;
-    }
-    let wall = t0.elapsed();
-    let measured_wall = measure_t0.map(|t| t.elapsed()).unwrap_or(wall);
-    let mut report = acc.into_report(ReportFrame {
-        backend,
-        workload,
-        strategy,
-        submitted: total,
-        window_secs: measured_wall.as_secs_f64().max(1e-9),
-        wall,
-        latency_unit: LatencyUnit::Millis,
-    });
-    if let Some(store) = server.store() {
-        let _ = store.sync();
-    }
-    report.server = Some(ServerSideStats {
-        stats: server.stats(),
-        shards_used: shards_seen.len(),
-        telemetry: server.telemetry().snapshot(),
-        pacer: None,
-    });
-    Ok(report)
 }
 
 /// Open Poisson pacing against an already-built server, split across
@@ -1622,7 +1546,7 @@ fn run_open_on(
     let window = last_done
         .saturating_duration_since(measure_t0)
         .as_secs_f64();
-    let mut report = acc.into_report(ReportFrame {
+    let frame = ReportFrame {
         backend,
         workload,
         strategy,
@@ -1630,19 +1554,14 @@ fn run_open_on(
         window_secs: window.max(1e-9),
         wall,
         latency_unit: LatencyUnit::Millis,
-    });
-    // A durable run quiesces the WAL before the snapshot, so the
-    // report's `wal_*` metrics cover every append the run enqueued.
-    if let Some(store) = server.store() {
-        let _ = store.sync();
-    }
-    report.server = Some(ServerSideStats {
-        stats: server.stats(),
-        shards_used: shards_seen.len(),
-        telemetry: server.telemetry().snapshot(),
-        pacer: Some(pacer_stats),
-    });
-    Ok(report)
+    };
+    Ok(server_report(
+        server,
+        acc,
+        frame,
+        shards_seen.len(),
+        Some(pacer_stats),
+    ))
 }
 
 impl Backend for Server {
@@ -1651,45 +1570,11 @@ impl Backend for Server {
     }
 
     fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
-        let Resolved { strategy, total } = workload.resolve()?;
-        let server = self.build(strategy, workload)?;
-        let durable = self.durable_dir.is_some();
-        match workload.arrival {
-            Arrival::Closed { clients, .. } => run_closed_on(
-                &server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                clients,
-                durable,
-            ),
-            Arrival::Poisson { rate } => run_open_on(
-                &server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                rate,
-                durable,
-            ),
-            Arrival::Resubmission {
-                clients,
-                delta_rate,
-                churn,
-                ..
-            } => run_resub_on(
-                &server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                clients,
-                delta_rate,
-                churn,
-                durable,
-            ),
-        }
+        let Resolved { strategy, .. } = workload.resolve()?;
+        let server = self.build(strategy)?;
+        OnServer::new(&server)
+            .durable(self.durable_dir.is_some())
+            .run(workload)
     }
 }
 
@@ -1742,42 +1627,71 @@ impl Backend for OnServer<'_> {
 
     fn run(&self, workload: &Workload) -> Result<LoadReport, LoadError> {
         let Resolved { strategy, total } = workload.resolve()?;
-        register_flows(self.server, workload);
+        let (server, durable) = (self.server, self.durable);
+        for (i, flow) in workload.flows.iter().enumerate() {
+            server.register(format!("flow{i}"), std::sync::Arc::clone(&flow.schema));
+        }
         match workload.arrival {
             Arrival::Closed { clients, .. } => run_closed_on(
-                self.server,
+                server,
                 self.name(),
                 workload,
                 strategy,
                 total,
                 clients,
-                self.durable,
+                |next, n| {
+                    (next..next + n)
+                        .map(|i| server_request(workload, strategy, i, durable))
+                        .collect()
+                },
             ),
             Arrival::Poisson { rate } => run_open_on(
-                self.server,
+                server,
                 self.name(),
                 workload,
                 strategy,
                 total,
                 rate,
-                self.durable,
+                durable,
             ),
+            // Wave 0 seeds every client's snapshot cold; later waves
+            // resubmit the same labels, each as a delta with
+            // probability `delta_rate` (seeded by `Workload::seed`,
+            // so two runs offer the identical request sequence).
+            // Awaiting each wave guarantees every delta resubmission
+            // finds its client's previous completion committed.
             Arrival::Resubmission {
                 clients,
                 delta_rate,
                 churn,
                 ..
-            } => run_resub_on(
-                self.server,
-                self.name(),
-                workload,
-                strategy,
-                total,
-                clients,
-                delta_rate,
-                churn,
-                self.durable,
-            ),
+            } => {
+                let mut rng = StdRng::seed_from_u64(workload.seed);
+                run_closed_on(
+                    server,
+                    self.name(),
+                    workload,
+                    strategy,
+                    total,
+                    clients,
+                    |next, n| {
+                        (0..n)
+                            .map(|c| {
+                                let delta = rng.gen_bool(delta_rate);
+                                resub_request(
+                                    workload,
+                                    strategy,
+                                    c,
+                                    next / clients,
+                                    churn,
+                                    delta,
+                                    durable,
+                                )
+                            })
+                            .collect()
+                    },
+                )
+            }
         }
     }
 }

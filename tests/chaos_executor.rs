@@ -3,7 +3,9 @@
 //! The unit-time executor always completes the earliest-finishing task;
 //! here a *chaos executor* completes a uniformly random in-flight task
 //! instead — simulating arbitrary external-system latencies — and the
-//! engine must still land exactly on the complete snapshot.
+//! engine must still land exactly on the complete snapshot. Scheduling
+//! goes through the engine's single `InstanceRuntime::round` step, so
+//! that step runs under random completion orders too.
 
 use std::sync::Arc;
 
@@ -11,14 +13,8 @@ use decision_flows::dflowgen::{generate, PatternParams};
 use decision_flows::prelude::{
     complete_snapshot, AttrId, InstanceRuntime, Schema, SourceValues, Strategy,
 };
-use decisionflow_scheduler_shim::select;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Re-export the engine scheduler for the shim below.
-mod decisionflow_scheduler_shim {
-    pub use decision_flows::decisionflow::engine::scheduler::select;
-}
 
 /// Drive one instance to completion, completing a random in-flight
 /// task at every step. Returns the runtime plus the number of steps.
@@ -31,6 +27,7 @@ fn run_chaos(
     let mut rt = InstanceRuntime::new(Arc::clone(schema), strategy, sources).expect("sources ok");
     // (attr, precomputed value) for in-flight tasks.
     let mut in_flight: Vec<(AttrId, decision_flows::prelude::Value)> = Vec::new();
+    let mut picks = Vec::new();
     let mut guard = 0usize;
     loop {
         guard += 1;
@@ -38,10 +35,10 @@ fn run_chaos(
         if rt.is_complete() {
             break;
         }
-        let picks = select(schema, strategy, rt.candidates(), in_flight.len());
-        for a in picks {
-            let inputs = rt.launch(a);
-            let v = schema.attr(a).task.compute(&inputs);
+        rt.round(&mut picks);
+        assert_eq!(rt.in_flight_count(), in_flight.len() + picks.len());
+        for &a in &picks {
+            let v = schema.attr(a).task.compute(&rt.input_values(a));
             in_flight.push((a, v));
         }
         if rt.is_complete() {
