@@ -26,6 +26,14 @@
 //!   `Event::Round` frame: every driver schedules through
 //!   `InstanceRuntime::round`, so what a round is and how it is
 //!   journaled lives in one place.
+//! * **One fingerprint per server instance.** In `decisionflow`'s
+//!   `server.rs`, `schema_fingerprint(` appears at one site only (the
+//!   helper that computes an instance's value once and carries it),
+//!   and the public wrappers that fingerprint internally
+//!   (`InstanceSnapshot::capture(`, `plan_delta(`,
+//!   `JournalWriter::new(` / `JournalWriter::streaming(`) are not
+//!   called there: each would hash the schema again, tens of µs per
+//!   call.
 //!
 //! Test modules (everything from the first `#[cfg(test)]` to end of
 //! file) and comment lines are exempt — tests may unwrap freely.
@@ -213,6 +221,57 @@ fn lint_round_driver(path: &Path, violations: &mut Vec<String>) {
     }
 }
 
+/// Calls that fingerprint a schema. The server may compute the
+/// fingerprint at one site; the wrappers recompute it inside.
+const FINGERPRINT_CALL: &str = "schema_fingerprint(";
+const FINGERPRINTING_WRAPPERS: [&str; 4] = [
+    "InstanceSnapshot::capture(",
+    "plan_delta(",
+    "JournalWriter::new(",
+    "JournalWriter::streaming(",
+];
+
+/// Offsets in `text` where `call` is called as a path or free
+/// function: not a method (`.call(`) and not the tail of a longer
+/// identifier (`Shared` + `JournalWriter::new(`).
+fn call_sites(text: &str, call: &str) -> Vec<usize> {
+    text.match_indices(call)
+        .map(|(off, _)| off)
+        .filter(|&off| {
+            let prev = text[..off].chars().next_back();
+            !prev.is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '.')
+        })
+        .collect()
+}
+
+/// Flag a second `schema_fingerprint(` site and any call of a
+/// fingerprinting wrapper in the server's non-test, non-comment code.
+fn lint_fingerprint_sites(path: &Path, violations: &mut Vec<String>) {
+    let source =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let rel = path.display();
+    let mut sites = Vec::new();
+    for (lineno, line) in lintable_lines(&source) {
+        sites.extend(call_sites(line, FINGERPRINT_CALL).iter().map(|_| lineno));
+        for wrapper in FINGERPRINTING_WRAPPERS {
+            for _ in call_sites(line, wrapper) {
+                violations.push(format!(
+                    "{rel}:{lineno}: `{wrapper}..)` fingerprints the schema again — pass the \
+                     instance's carried fingerprint to the crate-internal variant"
+                ));
+            }
+        }
+    }
+    if sites.len() > 1 {
+        for lineno in sites {
+            violations.push(format!(
+                "{rel}:{lineno}: one of several `{FINGERPRINT_CALL}..)` sites — compute an \
+                 instance's fingerprint at one site and carry it"
+            ));
+        }
+    }
+}
+
 /// Is the `Event::Round` path followed by `rest` a struct literal that
 /// builds a frame, rather than a pattern? A pattern has a bare `..`
 /// field or is followed by `=>`, `|` or `=`.
@@ -262,6 +321,10 @@ fn main() -> ExitCode {
             }
         }
     }
+    lint_fingerprint_sites(
+        &root.join("crates/decisionflow/src/server.rs"),
+        &mut violations,
+    );
     if violations.is_empty() {
         println!("srclint: clean");
         ExitCode::SUCCESS
@@ -276,7 +339,28 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::builds_round;
+    use super::{builds_round, call_sites};
+
+    #[test]
+    fn fingerprint_calls_are_told_from_methods_and_longer_names() {
+        assert_eq!(
+            call_sites("let fp = schema_fingerprint(&s);", "schema_fingerprint("),
+            [9]
+        );
+        assert_eq!(
+            call_sites("journal::schema_fingerprint(s)", "schema_fingerprint("),
+            [9]
+        );
+        // A method of the same name and a longer identifier are not it.
+        assert!(call_sites("prior.schema_fingerprint()", "schema_fingerprint(").is_empty());
+        assert!(call_sites("SharedJournalWriter::new(w)", "JournalWriter::new(").is_empty());
+        assert!(call_sites("plan_delta_with(s, fp, p, v)", "plan_delta(").is_empty());
+        assert!(call_sites("replan_delta(s)", "plan_delta(").is_empty());
+        assert_eq!(
+            call_sites("statestore::plan_delta(s)", "plan_delta(").len(),
+            1
+        );
+    }
 
     #[test]
     fn round_literals_are_told_from_patterns() {

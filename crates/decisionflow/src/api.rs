@@ -307,6 +307,13 @@ impl Request {
     /// recovery and its journal can be reconstructed byte-for-byte
     /// with [`EventStore::fetch_journal`] at any later time.
     ///
+    /// The acceptance record is queued at submission. The decision
+    /// frames are buffered in memory while the instance runs and are
+    /// queued together with the seal, in one hand-off, when it
+    /// completes, misses its deadline or is abandoned. An instance
+    /// still running at a crash therefore has only its acceptance on
+    /// disk, and recovery re-executes it from the start.
+    ///
     /// Durable requests must target a **registered schema by name**
     /// ([`Request::named`]) — an inline `Arc<Schema>` carries task
     /// closures, which cannot be persisted — and the server must have
@@ -357,9 +364,10 @@ impl Request {
     /// snapshot from its state store under (schema fingerprint,
     /// [`Request::label`]) — the snapshot a previous completion of the
     /// same labeled request committed. A lookup miss (nothing
-    /// committed yet, or the entry was invalidated) falls back to a
-    /// cold run rather than failing, so the first submission of a
-    /// label works unchanged. Server-only: in-process [`run`] has no
+    /// committed yet, the entry was invalidated, or it was captured by
+    /// another registration of an equal-fingerprint schema, whose task
+    /// bodies may differ) falls back to a cold run rather than failing,
+    /// so the first submission of a label works unchanged. Server-only: in-process [`run`] has no
     /// store and rejects with [`RequestError::DeltaLabelInProcess`].
     pub fn delta_by_label(mut self) -> Request {
         self.delta = Some(DeltaSource::Label);

@@ -87,12 +87,23 @@ impl JournalWriter {
     /// `sources` must be the exact bindings the instance runs with;
     /// they are embedded in the journal so replay needs nothing else.
     pub fn new(schema: &Schema, strategy: Strategy, sources: &SourceValues) -> JournalWriter {
-        let bound = bind_sources(schema, sources);
+        JournalWriter::new_with(schema, schema_fingerprint(schema), strategy, sources)
+    }
+
+    /// [`new`](Self::new) with the schema's fingerprint already in
+    /// hand: the server computes it once per instance and reuses it
+    /// here for the header.
+    pub(crate) fn new_with(
+        schema: &Schema,
+        fingerprint: u64,
+        strategy: Strategy,
+        sources: &SourceValues,
+    ) -> JournalWriter {
         JournalWriter {
             strategy: strategy.to_string(),
             disable_backward: false,
-            fingerprint: schema_fingerprint(schema),
-            sources: bound,
+            fingerprint,
+            sources: bind_sources(schema, sources),
             frames: Vec::new(),
             clock: 0,
             streaming: None,
@@ -117,7 +128,19 @@ impl JournalWriter {
         sources: &SourceValues,
         sink: Box<dyn io::Write + Send>,
     ) -> JournalWriter {
-        let mut w = JournalWriter::new(schema, strategy, sources);
+        JournalWriter::streaming_with(schema, schema_fingerprint(schema), strategy, sources, sink)
+    }
+
+    /// [`streaming`](Self::streaming) with the schema's fingerprint
+    /// already in hand (see [`new_with`](Self::new_with)).
+    pub(crate) fn streaming_with(
+        schema: &Schema,
+        fingerprint: u64,
+        strategy: Strategy,
+        sources: &SourceValues,
+        sink: Box<dyn io::Write + Send>,
+    ) -> JournalWriter {
+        let mut w = JournalWriter::new_with(schema, fingerprint, strategy, sources);
         w.streaming = Some(Streaming {
             sink,
             header_written: false,

@@ -109,7 +109,7 @@ use crate::journal::{
 use crate::report::ExecutionRecord;
 use crate::schema::{AttrId, Schema};
 use crate::snapshot::{SnapshotError, SourceValues};
-use crate::statestore::{plan_delta, DeltaError, InstanceSnapshot, MemoTable, StateStore};
+use crate::statestore::{plan_delta_with, DeltaError, InstanceSnapshot, MemoTable, StateStore};
 use crate::store::WalRecorder;
 use crate::store::{
     EventStore, PersistedRequest, SealOutcome, StoreConfig, StoreError, StoreEvent,
@@ -300,6 +300,10 @@ struct Instance {
     /// The runtime's schema, held here too so task jobs reach the task
     /// bodies without taking the runtime lock.
     schema: Arc<Schema>,
+    /// The schema's structural fingerprint, computed once for this
+    /// instance ([`instance_fingerprint`]); the completion-time
+    /// snapshot is keyed on it.
+    schema_fp: u64,
     runtime: Mutex<InstanceRuntime>,
     /// Submission entry time (`t0` of [`SubmitTimings`]): the zero
     /// point of both [`InstanceResult::elapsed`] and the `e2e` stage.
@@ -389,8 +393,11 @@ impl Instance {
                     // the journal, so the snapshot matches the
                     // delivered record exactly.
                     if let Some(label) = &inst.label {
-                        inst.state_store
-                            .commit(InstanceSnapshot::capture(&rt, label.clone()));
+                        inst.state_store.commit(InstanceSnapshot::capture_with(
+                            &rt,
+                            inst.schema_fp,
+                            label.clone(),
+                        ));
                     }
                     let retained = rt.retained_count();
                     if retained > 0 {
@@ -431,6 +438,7 @@ impl Instance {
                     // stragglers landing afterwards are excluded from
                     // both tapes identically and the reconstructed
                     // journal stays byte-equal to the captured one.
+                    // The seal hands the buffered frames to the lane.
                     if let Some(wal) = &inst.wal {
                         wal.seal(if deadline_exceeded {
                             SealOutcome::DeadlineExceeded
@@ -658,6 +666,10 @@ struct PendingStart {
     schema: Arc<Schema>,
     /// The request's strategy with the server default already applied.
     strategy: Strategy,
+    /// The schema fingerprint, when the submitting thread already
+    /// needed it (a durable acceptance record, an explicit delta
+    /// prior, a batch, a recovery); the build computes it otherwise.
+    schema_fp: Option<u64>,
     /// Write-ahead recorder for durable requests; the acceptance
     /// record is on the lane before the build job is enqueued.
     wal: Option<Arc<WalRecorder>>,
@@ -790,6 +802,16 @@ fn abandon_unbuilt(id: u64, h: &ShardHandles, wal: Option<&WalRecorder>) {
     });
 }
 
+/// The one place the server computes a schema fingerprint: the first
+/// site an instance needs it fills `carried`, and every later consumer
+/// of that instance (the WAL acceptance record, label lookup, delta
+/// planning, the journal header, the completion snapshot) takes the
+/// carried value. The fingerprint JSON-serializes every enabling
+/// condition, so it costs tens of µs on mid-size flows.
+fn instance_fingerprint(carried: &mut Option<u64>, schema: &Schema) -> u64 {
+    *carried.get_or_insert_with(|| schema_fingerprint(schema))
+}
+
 /// Worker-side half of submission: build the instance runtime (reusing
 /// the shard's construction arena) and pump the first scheduling
 /// round. Running on the owning shard's pool preserves tape
@@ -803,14 +825,19 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
         request,
         schema,
         strategy,
+        mut schema_fp,
         wal,
         done_tx,
         deadline,
         timings,
     } = pending;
-    // The instance's snapshot-store key. Computed once per instance;
-    // caching it on the schema is an open ROADMAP item.
-    let schema_fp = schema_fingerprint(&schema);
+    // The instance's one fingerprint: carried in from the submitting
+    // thread when a durable acceptance record, an explicit delta prior,
+    // a batch or a recovery already computed it, computed here
+    // otherwise. It keys the label snapshot store and heads a recorded
+    // journal. Computing it eagerly for every instance, used or not,
+    // is deliberate until caching it per schema is unblocked (ROADMAP).
+    let schema_fp = instance_fingerprint(&mut schema_fp, &schema);
     let built = match build_runtime(
         h.scratch.take(),
         Arc::clone(&schema),
@@ -837,6 +864,7 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
         id,
         shard: h.index,
         schema,
+        schema_fp,
         runtime: Mutex::new(runtime),
         started: timings.t0,
         route: timings.route,
@@ -877,9 +905,11 @@ fn build_and_pump(id: u64, pending: PendingStart, h: &ShardHandles, enqueued_at:
 /// request itself ([`Request::delta`]) or from `state_store` by label
 /// ([`Request::delta_by_label`]) — and the retained slice of its plan
 /// is spliced into the runtime at construction. Any resolution miss
-/// (label not committed yet, snapshot from an older schema revision)
-/// degrades to a cold run: the outcome is identical either way, delta
-/// is purely a work-avoidance hint.
+/// (label not committed yet, snapshot from an older schema revision,
+/// or from another build of the same structure whose task bodies may
+/// differ) degrades to a cold run: the outcome is identical either
+/// way, delta is purely a work-avoidance hint. `schema_fp` is the
+/// instance's carried fingerprint; nothing here recomputes it.
 fn build_runtime(
     scratch: RuntimeScratch,
     schema: Arc<Schema>,
@@ -891,12 +921,14 @@ fn build_runtime(
 ) -> Result<(InstanceRuntime, Option<SharedJournalWriter>), SubmitError> {
     let plan = match &request.delta {
         None => None,
-        Some(DeltaSource::Prior(prior)) => plan_delta(&schema, prior, &request.sources).ok(),
+        Some(DeltaSource::Prior(prior)) => {
+            plan_delta_with(&schema, schema_fp, prior, &request.sources).ok()
+        }
         Some(DeltaSource::Label) => request
             .label
             .as_deref()
-            .and_then(|label| state_store.lookup(schema_fp, label))
-            .and_then(|prior| plan_delta(&schema, &prior, &request.sources).ok()),
+            .and_then(|label| state_store.lookup_with(schema_fp, schema.identity(), label))
+            .and_then(|prior| plan_delta_with(&schema, schema_fp, &prior, &request.sources).ok()),
     };
     let retained = plan.as_ref().map_or(&[][..], |p| p.retained.as_slice());
     // Streaming takes precedence over buffered capture, mirroring the
@@ -905,16 +937,20 @@ fn build_runtime(
     let writer = match &request.journal_stream {
         Some(stream) => {
             let sink = stream.take().ok_or(SubmitError::StreamConsumed)?;
-            Some(JournalWriter::streaming(
+            Some(JournalWriter::streaming_with(
                 &schema,
+                schema_fp,
                 strategy,
                 &request.sources,
                 sink,
             ))
         }
-        None if request.record_journal => {
-            Some(JournalWriter::new(&schema, strategy, &request.sources))
-        }
+        None if request.record_journal => Some(JournalWriter::new_with(
+            &schema,
+            schema_fp,
+            strategy,
+            &request.sources,
+        )),
         None => None,
     };
     let recorder = writer.map(|writer| {
@@ -1525,7 +1561,8 @@ impl EngineServer {
     /// completes commits its stabilized state here as an immutable
     /// [`InstanceSnapshot`] version, keyed by `(schema fingerprint,
     /// label)`. [`Request::delta_by_label`] resubmissions resolve
-    /// their prior through this store; use the handle directly to
+    /// their prior through this store, skipping a snapshot that another
+    /// registration of the schema captured; use the handle directly to
     /// [`lookup`](StateStore::lookup) a snapshot for inspection or an
     /// explicit [`Request::delta`], or to
     /// [`invalidate`](StateStore::invalidate) one whose upstream world
@@ -1689,8 +1726,8 @@ impl EngineServer {
     }
 
     /// Check a durable request's up-front requirements and hand back
-    /// the store to log it to. Runs *before* [`prepare`](Self::prepare)
-    /// — a durable rejection must not consume a streaming sink.
+    /// the store to log it to. Runs *before* [`build_runtime`] — a
+    /// durable rejection must not consume a streaming sink.
     fn durable_store(&self, request: &Request) -> Result<Option<Arc<EventStore>>, SubmitError> {
         if !request.durable {
             return Ok(None);
@@ -1707,7 +1744,13 @@ impl EngineServer {
 
     /// Everything the store needs to re-execute `request` after a
     /// crash and to reconstruct its journal header byte-for-byte.
-    fn persist_request(&self, id: u64, schema: &Schema, request: &Request) -> PersistedRequest {
+    fn persist_request(
+        &self,
+        id: u64,
+        schema: &Schema,
+        schema_fp: u64,
+        request: &Request,
+    ) -> PersistedRequest {
         PersistedRequest {
             instance_id: id,
             schema: request
@@ -1717,7 +1760,7 @@ impl EngineServer {
                 .to_string(),
             strategy: request.strategy.unwrap_or(self.strategy).to_string(),
             disable_backward: request.options.disable_backward,
-            schema_fingerprint: schema_fingerprint(schema),
+            schema_fingerprint: schema_fp,
             sources: bind_sources(schema, &request.sources),
             label: request.label.clone(),
             deadline_ms: request
@@ -1731,9 +1774,15 @@ impl EngineServer {
     /// one-shot streaming sink is taken and no WAL record is sent, so
     /// a rejected request leaves no trace (the caller fixes it and
     /// resubmits). Must pass before a durable request's lifecycle
-    /// record is logged *and* before [`prepare`](Self::prepare) builds
-    /// the runtime.
-    fn validate_request(&self, schema: &Schema, request: &Request) -> Result<(), SubmitError> {
+    /// record is logged *and* before [`build_runtime`] builds the
+    /// runtime. An explicit delta prior's check fills `schema_fp`
+    /// for the instance to carry on.
+    fn validate_request(
+        &self,
+        schema: &Schema,
+        request: &Request,
+        schema_fp: &mut Option<u64>,
+    ) -> Result<(), SubmitError> {
         if request.strict_analysis {
             let report = crate::analysis::check(schema);
             if report.has_errors() {
@@ -1749,7 +1798,7 @@ impl EngineServer {
         // cold. (Label-resolved priors are checked at build time and
         // degrade to cold on any miss.)
         if let Some(DeltaSource::Prior(prior)) = &request.delta {
-            let expected = schema_fingerprint(schema);
+            let expected = instance_fingerprint(schema_fp, schema);
             if prior.schema_fingerprint() != expected {
                 return Err(SubmitError::Delta(DeltaError::SchemaMismatch {
                     expected,
@@ -1758,7 +1807,7 @@ impl EngineServer {
             }
         }
         // Peek, don't take: the caller owns the request, so a sink
-        // present here is still present when `prepare` consumes it.
+        // present here is still present when `build_runtime` consumes it.
         if let Some(stream) = &request.journal_stream {
             if stream.is_consumed() {
                 return Err(SubmitError::StreamConsumed);
@@ -1800,19 +1849,28 @@ impl EngineServer {
     pub fn submit(&self, request: impl Into<Request>) -> Result<Ticket, SubmitError> {
         let shard = self.route_shard();
         let id = shard.id_for(shard.alloc_seq(1), self.shards.len() as u64);
-        self.submit_to(shard, request.into(), id, 0, None)
+        self.submit_to(shard, request.into(), id, 0, None, None)
     }
 
     /// Recovery re-submission: the instance keeps its original id, so
     /// the owning shard is derived from it rather than round-robin.
+    /// `schema_fp` is the fingerprint recovery just verified.
     fn submit_as(
         &self,
         request: Request,
         id: u64,
         attempt: u32,
         requeue: Option<u32>,
+        schema_fp: u64,
     ) -> Result<Ticket, SubmitError> {
-        self.submit_to(self.shard_for(id), request, id, attempt, requeue)
+        self.submit_to(
+            self.shard_for(id),
+            request,
+            id,
+            attempt,
+            requeue,
+            Some(schema_fp),
+        )
     }
 
     /// The shared submission path: validate, write-ahead-log (durable
@@ -1820,7 +1878,8 @@ impl EngineServer {
     /// shard's pool. `attempt`/`requeue` distinguish a fresh
     /// acceptance (attempt 0, logs `RequestAccepted`) from a recovery
     /// re-execution (logs `RequestRequeued` — acceptance is already on
-    /// file from the crashed run).
+    /// file from the crashed run). `schema_fp` is the instance's
+    /// fingerprint when the caller already has it.
     ///
     /// Every synchronous rejection — unknown schema, invalid sources,
     /// strict-analysis findings, durable misconfiguration, an
@@ -1836,6 +1895,7 @@ impl EngineServer {
         id: u64,
         attempt: u32,
         requeue: Option<u32>,
+        mut schema_fp: Option<u64>,
     ) -> Result<Ticket, SubmitError> {
         let t0 = Instant::now();
         let store = self.durable_store(&request)?;
@@ -1845,7 +1905,7 @@ impl EngineServer {
             None => shard.schema_for(request.schema_name().expect("named or inline"))?,
         };
         let routed = Instant::now();
-        self.validate_request(&schema, &request)?;
+        self.validate_request(&schema, &request, &mut schema_fp)?;
         // Log acceptance only after validation passed, and *before*
         // the build job is enqueued: building the runtime streams the
         // instance's eager-initialization frames, and both the
@@ -1857,7 +1917,12 @@ impl EngineServer {
         if let Some(store) = &store {
             let event = match requeue {
                 None => StoreEvent::RequestAccepted {
-                    request: self.persist_request(id, &schema, &request),
+                    request: self.persist_request(
+                        id,
+                        &schema,
+                        instance_fingerprint(&mut schema_fp, &schema),
+                        &request,
+                    ),
                 },
                 Some(next_attempt) => StoreEvent::RequestRequeued {
                     instance_id: id,
@@ -1884,6 +1949,7 @@ impl EngineServer {
                 request,
                 schema,
                 strategy,
+                schema_fp,
                 wal,
                 done_tx,
                 deadline,
@@ -1931,7 +1997,7 @@ impl EngineServer {
                         instance_id: id,
                         schema: req.schema.clone(),
                     })?;
-            let current = schema_fingerprint(&schema);
+            let current = instance_fingerprint(&mut None, &schema);
             if current != req.schema_fingerprint {
                 return Err(RecoverError::FingerprintMismatch {
                     instance_id: id,
@@ -1971,7 +2037,7 @@ impl EngineServer {
                 rebuilt = rebuilt.deadline(Duration::from_millis(ms));
             }
             let ticket = self
-                .submit_as(rebuilt, id, p.next_attempt, Some(p.next_attempt))
+                .submit_as(rebuilt, id, p.next_attempt, Some(p.next_attempt), current)
                 .map_err(RecoverError::Submit)?;
             tickets.push(ticket);
         }
@@ -1982,7 +2048,8 @@ impl EngineServer {
     /// registry-lock acquisition: the batch is grouped by destination
     /// shard once, each shard hands out one contiguous id block, each
     /// shard's registry read lock is taken once per group, each
-    /// distinct schema name is resolved at most once per shard, and
+    /// distinct schema name is resolved at most once per shard, each
+    /// distinct schema is fingerprinted once per batch, and
     /// each shard's `Submitted` events are published as one batch onto
     /// its lane. Journaling, strategy overrides, deadlines, and labels
     /// are honored per request — a recorded batch is just a batch of
@@ -2038,6 +2105,9 @@ impl EngineServer {
         let mut persists: Vec<Option<PersistedRequest>> = Vec::new();
         persists.resize_with(requests.len(), || None);
         let mut validates: Vec<Duration> = vec![Duration::ZERO; requests.len()];
+        // Schema build identity → fingerprint, for the whole batch.
+        let mut fingerprints: HashMap<u64, u64> = HashMap::new();
+        let mut schema_fps: Vec<u64> = vec![0; requests.len()];
         for (sidx, indices) in by_shard.iter().enumerate() {
             if indices.is_empty() {
                 continue;
@@ -2066,9 +2136,13 @@ impl EngineServer {
                         }
                     }
                 };
-                self.validate_request(&schema, request)?;
+                let mut schema_fp = fingerprints.get(&schema.identity()).copied();
+                self.validate_request(&schema, request, &mut schema_fp)?;
+                schema_fps[i] = instance_fingerprint(&mut schema_fp, &schema);
+                fingerprints.insert(schema.identity(), schema_fps[i]);
                 if store.is_some() {
-                    persists[i] = Some(self.persist_request(ids[i], &schema, request));
+                    persists[i] =
+                        Some(self.persist_request(ids[i], &schema, schema_fps[i], request));
                 }
                 schemas[i] = Some(schema);
                 validates[i] = Instant::now().saturating_duration_since(validate_start);
@@ -2158,6 +2232,7 @@ impl EngineServer {
                         request,
                         schema,
                         strategy,
+                        schema_fp: Some(schema_fps[i]),
                         wal: wals[j].clone(),
                         done_tx,
                         deadline,
@@ -3222,22 +3297,25 @@ mod tests {
         );
     }
 
-    /// Two schemas equal in structure (so equal in
-    /// `schema_fingerprint`) whose one task body differs — a flow
-    /// re-registered after a fix to that body. A memoized server must
-    /// not answer the fixed flow with the old body's results.
+    /// `s ─► t` where `t = s + offset`: builds with different offsets
+    /// are equal in structure (so equal in `schema_fingerprint`) and
+    /// differ only in the task body — a flow re-registered after a fix
+    /// to that body.
+    fn offset_schema(offset: i64) -> Arc<Schema> {
+        let mut b = SchemaBuilder::new();
+        let s = b.source("s");
+        let t = b.query("t", 1, vec![s], Expr::Lit(true), move |ins| {
+            Value::Int(ins[0].as_f64().unwrap_or(0.0) as i64 + offset)
+        });
+        b.mark_target(t);
+        Arc::new(b.build().unwrap())
+    }
+
+    /// A memoized server must not answer a re-registered flow with the
+    /// old body's results.
     #[test]
     fn memo_separates_schemas_that_differ_only_in_task_bodies() {
-        let build = |offset: i64| {
-            let mut b = SchemaBuilder::new();
-            let s = b.source("s");
-            let t = b.query("t", 1, vec![s], Expr::Lit(true), move |ins| {
-                Value::Int(ins[0].as_f64().unwrap_or(0.0) as i64 + offset)
-            });
-            b.mark_target(t);
-            Arc::new(b.build().unwrap())
-        };
-        let (old, fixed) = (build(1), build(100));
+        let (old, fixed) = (offset_schema(1), offset_schema(100));
         assert_eq!(schema_fingerprint(&old), schema_fingerprint(&fixed));
         assert_ne!(old.identity(), fixed.identity());
         let server = EngineServer::builder()
@@ -3267,6 +3345,48 @@ mod tests {
         assert_eq!(run(&fixed), Some(Value::Int(105)));
         let memo = server.memo().expect("built with memoize");
         assert_eq!((memo.misses(), memo.hits()), (2, 1));
+    }
+
+    /// The label snapshot store keys on the fingerprint too, so after
+    /// a body fix a `delta_by_label` resubmission finds the snapshot
+    /// the old body computed. It must run cold instead of splicing in
+    /// the stale values, then serve later resubmissions from the fixed
+    /// build's own snapshot.
+    #[test]
+    fn label_delta_ignores_snapshots_from_other_schema_builds() {
+        let (old, fixed) = (offset_schema(1), offset_schema(100));
+        let server = sharded(1, 1, "PCE100");
+        let mut sv = SourceValues::new();
+        sv.set(old.lookup("s").unwrap(), 5i64);
+        let run = |schema: &Arc<Schema>| {
+            server.register("flow", Arc::clone(schema));
+            let r = server
+                .submit(
+                    Request::named("flow")
+                        .sources(sv.clone())
+                        .label("cust-1")
+                        .delta_by_label(),
+                )
+                .unwrap()
+                .wait()
+                .unwrap();
+            r.record.outcome("t").unwrap().value.clone()
+        };
+        assert_eq!(run(&old), Some(Value::Int(6)));
+        let oracle = complete_snapshot(&fixed, &sv).unwrap();
+        let expected = Some(oracle.value(fixed.lookup("t").unwrap()).clone());
+        assert_eq!(run(&fixed), expected, "stale label snapshot spliced in");
+        assert_eq!(run(&fixed), expected);
+        let tele = server.telemetry().snapshot();
+        assert_eq!(
+            (
+                tele.counter("delta_lookup_misses"),
+                tele.counter("delta_lookup_hits")
+            ),
+            (Some(2), Some(1)),
+            "first submission and the re-registered build miss; the rerun hits"
+        );
+        assert_eq!(server.state_store().len(), 1, "one snapshot per label");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! 1. **Snapshot-versioned instance state** ([`StateStore`]): after an
 //!    instance seals, its stabilized attribute values are committed as
 //!    an immutable [`InstanceSnapshot`] keyed by `(schema fingerprint,
-//!    label)`. A resubmission via
+//!    label)`. The fingerprint does not see task bodies, so a snapshot
+//!    also records the schema build that captured it, and the server's
+//!    label lookup skips one from another build. A resubmission via
 //!    [`Request::delta`](crate::api::Request::delta) (or
 //!    [`delta_by_label`](crate::api::Request::delta_by_label) on the
 //!    server) diffs the new sources against the snapshot's source set,
@@ -29,7 +31,7 @@
 //! ```text
 //!   instance seals ──► capture ──► commit (version v, replaces v-1)
 //!                                     │
-//!            Request::delta_by_label ─┤ lookup ──► plan_delta ──► splice-in
+//!            Request::delta_by_label ─┤ lookup (same build) ──► plan_delta ──► splice-in
 //!                                     │
 //!                      invalidate ────┘ (exactly once per version)
 //! ```
@@ -76,6 +78,9 @@ use crate::value::Value;
 pub struct InstanceSnapshot {
     version: u64,
     schema_fingerprint: u64,
+    /// [`Schema::identity`] of the build that ran: the fingerprint does
+    /// not see task bodies, so this tells a re-registered flow apart.
+    schema_identity: u64,
     label: String,
     sources: Vec<(AttrId, Value)>,
     states: Vec<AttrState>,
@@ -91,6 +96,16 @@ impl InstanceSnapshot {
     /// Call only on a complete runtime ([`InstanceRuntime::is_complete`])
     /// and before [`InstanceRuntime::reclaim`] hollows it out.
     pub fn capture(rt: &InstanceRuntime, label: impl Into<String>) -> InstanceSnapshot {
+        InstanceSnapshot::capture_with(rt, schema_fingerprint(rt.schema()), label)
+    }
+
+    /// [`capture`](Self::capture) with the schema's fingerprint already
+    /// in hand: the server computes it once per instance.
+    pub(crate) fn capture_with(
+        rt: &InstanceRuntime,
+        fingerprint: u64,
+        label: impl Into<String>,
+    ) -> InstanceSnapshot {
         let schema = rt.schema();
         let n = schema.len();
         let mut states = Vec::with_capacity(n);
@@ -112,7 +127,8 @@ impl InstanceSnapshot {
             .collect();
         InstanceSnapshot {
             version: 0,
-            schema_fingerprint: schema_fingerprint(schema),
+            schema_fingerprint: fingerprint,
+            schema_identity: schema.identity(),
             label: label.into(),
             sources,
             states,
@@ -216,7 +232,16 @@ pub fn plan_delta(
     prior: &InstanceSnapshot,
     sources: &SourceValues,
 ) -> Result<DeltaPlan, DeltaError> {
-    let expected = schema_fingerprint(schema);
+    plan_delta_with(schema, schema_fingerprint(schema), prior, sources)
+}
+
+/// [`plan_delta`] with `schema`'s fingerprint already in hand.
+pub(crate) fn plan_delta_with(
+    schema: &Schema,
+    expected: u64,
+    prior: &InstanceSnapshot,
+    sources: &SourceValues,
+) -> Result<DeltaPlan, DeltaError> {
     if prior.schema_fingerprint != expected {
         return Err(DeltaError::SchemaMismatch {
             expected,
@@ -316,10 +341,34 @@ impl StateStore {
     /// The latest committed snapshot for `(fingerprint, label)`, if
     /// any. Counts toward the `delta_lookup_{hits,misses}` telemetry.
     pub fn lookup(&self, fingerprint: u64, label: &str) -> Option<Arc<InstanceSnapshot>> {
+        self.lookup_where(fingerprint, label, |_| true)
+    }
+
+    /// The latest snapshot for `(fingerprint, label)` that the schema
+    /// build `identity` captured. A snapshot from another build of an
+    /// equal-fingerprint schema (a flow re-registered after a fix to a
+    /// task body) holds values the old bodies computed, so it counts
+    /// as a miss.
+    pub(crate) fn lookup_with(
+        &self,
+        fingerprint: u64,
+        identity: u64,
+        label: &str,
+    ) -> Option<Arc<InstanceSnapshot>> {
+        self.lookup_where(fingerprint, label, |snap| snap.schema_identity == identity)
+    }
+
+    fn lookup_where(
+        &self,
+        fingerprint: u64,
+        label: &str,
+        current: impl Fn(&InstanceSnapshot) -> bool,
+    ) -> Option<Arc<InstanceSnapshot>> {
         let shard = label_shard(fingerprint, label, self.shards.len());
         let hit = self.shards[shard]
             .lock()
             .get(&(fingerprint, label.to_string()))
+            .filter(|snap| current(snap))
             .cloned();
         match &hit {
             Some(_) => self.delta_hits.inc(),

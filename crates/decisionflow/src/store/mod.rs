@@ -5,23 +5,37 @@
 //! # Architecture
 //!
 //! ```text
-//!  submit (durable)            appender lane (one thread per shard)
-//!  ──────────────────┐         ┌───────────────────────────────────┐
-//!  RequestAccepted ──┤bounded  │ drain batch → write frames →      │
-//!  FrameAppended   ──┤channel ─│ flush → fsync (group commit) →    │
-//!  InstanceSealed  ──┤         │ ack barriers → maybe rotate       │
-//!  ──────────────────┘         └───────────────┬───────────────────┘
-//!                                              ▼
-//!                              wal-<lane>-<seq>.seg   (append-only)
-//!                              [len u32][crc32 u32][StoreEvent JSON]…
+//!  durable instance              appender lane (one thread per shard)
+//!  ─────────────────────┐         ┌───────────────────────────────────┐
+//!  submit:              │         │                                   │
+//!    RequestAccepted  ──┤bounded  │ drain batch → write records →     │
+//!  run: FrameAppended   │channel ─│ flush → fsync (group commit) →    │
+//!    (buffered)         │         │ ack barriers → maybe rotate       │
+//!  seal: frames… +    ──┤         │                                   │
+//!    InstanceSealed     │         └───────────────┬───────────────────┘
+//!  ─────────────────────┘                         ▼
+//!                                 wal-<lane>-<seq>.seg   (append-only)
+//!                                 [len u32][crc32 u32][StoreEvent JSON]…
 //! ```
 //!
-//! The submit hot path only serializes an event and enqueues it on a
-//! bounded channel — it never blocks on an fsync. Each lane's appender
-//! thread drains whatever has accumulated, writes it, and commits the
-//! whole batch with **one** `fdatasync` (group commit), so the
+//! The hot path never blocks on an fsync. Submission enqueues the
+//! instance's lifecycle record on a bounded channel. While the
+//! instance runs, its `WalRecorder` stamps each journal frame and
+//! buffers it in memory; the seal (`Completed`, `DeadlineExceeded` or
+//! `Abandoned`) hands the whole tape plus the seal record to the lane
+//! as **one** command, so each instance's frames land contiguously on
+//! disk, right before its seal. Each lane's appender thread drains
+//! whatever has accumulated (up to 512 events), writes it, and commits
+//! the whole batch with **one** `fdatasync` (group commit), so the
 //! durability cost amortizes across concurrent instances. A full
-//! channel applies backpressure instead of dropping records.
+//! channel applies backpressure instead of dropping records:
+//! [`StoreConfig::queue_depth`] bounds the hand-offs in flight per
+//! lane, each a lifecycle record or at most one instance's tape.
+//!
+//! Crash semantics: an instance that was still running has only its
+//! lifecycle record on disk (its frames were in memory), exactly like
+//! one whose seal was torn off the tail; recovery re-executes any
+//! instance without a seal, so nothing is lost or run twice.
 //!
 //! Segments are append-only and never truncated: a reopened store
 //! starts a fresh segment per lane, so a torn tail left by a crash is
@@ -79,7 +93,9 @@ pub struct StoreConfig {
     pub lanes: usize,
     /// Rotate a segment once it exceeds this many bytes.
     pub segment_bytes: u64,
-    /// Bounded depth of each lane's command channel (backpressure).
+    /// Bounded depth of each lane's command channel (backpressure):
+    /// hand-offs in flight, each one lifecycle record or at most one
+    /// sealed instance's tape.
     pub queue_depth: usize,
 }
 
@@ -148,14 +164,26 @@ impl std::error::Error for StoreError {
 
 /// What the submit path sends to an appender lane.
 enum Cmd {
-    /// Append one event; `enqueued` feeds the `wal_append` histogram
-    /// (enqueue → durable latency).
+    /// Append these events, in order: one lifecycle record, or a
+    /// sealed instance's whole tape. `enqueued` feeds the `wal_append`
+    /// histogram (enqueue → durable latency, one sample per command).
     Append {
-        event: StoreEvent,
+        events: Vec<StoreEvent>,
         enqueued: Instant,
     },
     /// Reply once everything enqueued before this point is durable.
     Barrier(Sender<Result<(), String>>),
+}
+
+impl Cmd {
+    /// This command's share of a lane batch: its event count, and at
+    /// least 1 so a run of barriers is bounded too.
+    fn weight(&self) -> usize {
+        match self {
+            Cmd::Append { events, .. } => events.len().max(1),
+            Cmd::Barrier(_) => 1,
+        }
+    }
 }
 
 /// One appender lane: a bounded channel into a dedicated thread that
@@ -280,13 +308,24 @@ impl EventStore {
     /// the event is queued — durability follows at the lane's next
     /// group commit; use [`sync`](Self::sync) to wait for it.
     pub fn append(&self, lane_hint: usize, event: StoreEvent) -> Result<(), StoreError> {
+        self.append_all(lane_hint, vec![event])
+    }
+
+    /// [`append`](Self::append) several events as one lane command:
+    /// they reach the segment contiguously, in order, and commit in
+    /// the same group commit.
+    pub(crate) fn append_all(
+        &self,
+        lane_hint: usize,
+        events: Vec<StoreEvent>,
+    ) -> Result<(), StoreError> {
         let lane = &self.lanes[lane_hint % self.lanes.len()];
         if lane.failed.load(Ordering::Relaxed) {
             return Err(StoreError::LaneFailed);
         }
         lane.tx
             .send(Cmd::Append {
-                event,
+                events,
                 enqueued: Instant::now(),
             })
             .map_err(|_| StoreError::LaneFailed)
@@ -638,34 +677,47 @@ fn run_lane(
             Ok(cmd) => cmd,
             Err(_) => break, // store dropped: final seal below
         };
+        let mut weight = first.weight();
         let mut batch = vec![first];
-        while batch.len() < MAX_BATCH {
+        while weight < MAX_BATCH {
             match rx.try_recv() {
-                Ok(cmd) => batch.push(cmd),
+                Ok(cmd) => {
+                    weight += cmd.weight();
+                    batch.push(cmd);
+                }
                 Err(_) => break,
             }
         }
         let mut barriers = Vec::new();
+        // When each command with a written record was enqueued, and the
+        // records written.
         let mut appended: Vec<Instant> = Vec::new();
+        let mut written = 0u64;
         let mut io_err: Option<std::io::Error> = None;
         for cmd in batch {
             match cmd {
-                Cmd::Append { event, enqueued } => {
-                    let Some(w) = writer.as_mut() else {
-                        metrics.append_errors.inc();
-                        continue;
-                    };
-                    if io_err.is_some() {
-                        metrics.append_errors.inc();
-                        continue;
-                    }
-                    let payload = serde::json::to_string(&event);
-                    match w.append(payload.as_bytes()) {
-                        Ok(()) => appended.push(enqueued),
-                        Err(e) => {
+                Cmd::Append { events, enqueued } => {
+                    let before = written;
+                    for event in events {
+                        let Some(w) = writer.as_mut() else {
                             metrics.append_errors.inc();
-                            io_err = Some(e);
+                            continue;
+                        };
+                        if io_err.is_some() {
+                            metrics.append_errors.inc();
+                            continue;
                         }
+                        let payload = serde::json::to_string(&event);
+                        match w.append(payload.as_bytes()) {
+                            Ok(()) => written += 1,
+                            Err(e) => {
+                                metrics.append_errors.inc();
+                                io_err = Some(e);
+                            }
+                        }
+                    }
+                    if written > before {
+                        appended.push(enqueued);
                     }
                 }
                 Cmd::Barrier(ack) => barriers.push(ack),
@@ -682,7 +734,7 @@ fn run_lane(
                 for enqueued in &appended {
                     metrics.append_latency.record(now.duration_since(*enqueued));
                 }
-                metrics.appends.add(appended.len() as u64);
+                metrics.appends.add(written);
                 if let Some(w) = &writer {
                     metrics.bytes.add(w.bytes() - synced_bytes);
                     synced_bytes = w.bytes();
@@ -690,7 +742,7 @@ fn run_lane(
             }
             Err(e) => {
                 failed.store(true, Ordering::Relaxed);
-                metrics.append_errors.add(appended.len() as u64);
+                metrics.append_errors.add(written);
                 writer = None;
                 for ack in barriers {
                     let _ = ack.send(Err(e.to_string()));
@@ -749,6 +801,13 @@ fn seal_segment(writer: &mut Segment, metrics: &LaneMetrics) -> std::io::Result<
 /// `JournalWriter`, so the reconstructed tape is byte-identical to
 /// live capture) and guarantees the exactly-once seal — events after
 /// the seal are dropped, and the seal itself fires at most once.
+///
+/// Frames are buffered per instance and reach the lane in **one**
+/// command together with the seal, so a tape is contiguous on disk
+/// and costs one channel send rather than one per frame. An instance
+/// that never seals (the process died first) leaves only its
+/// lifecycle record, and recovery re-executes it like any unsealed
+/// instance.
 pub(crate) struct WalRecorder {
     store: Arc<EventStore>,
     lane: usize,
@@ -760,6 +819,8 @@ pub(crate) struct WalRecorder {
 struct WalState {
     clock: u64,
     sealed: bool,
+    /// The stamped `FrameAppended` events awaiting the seal.
+    tape: Vec<StoreEvent>,
 }
 
 impl WalRecorder {
@@ -777,54 +838,50 @@ impl WalRecorder {
             state: Mutex::new(WalState {
                 clock: 0,
                 sealed: false,
+                tape: Vec::new(),
             }),
         }
     }
 
-    /// Record one journal event as a durable frame. Best-effort: a
-    /// failed lane latches into `wal_append_errors` and the instance
-    /// simply stays unsealed (so recovery re-executes it).
+    /// Stamp one journal event as a frame of the instance's tape; it
+    /// reaches the lane with the seal.
     pub(crate) fn record(&self, event: Event) {
-        let frame = {
-            let mut st = self.state.lock();
-            if st.sealed {
-                return;
-            }
-            let frame = Frame {
-                clock: st.clock,
-                event,
-            };
-            st.clock += 1;
-            frame
+        let mut st = self.state.lock();
+        if st.sealed {
+            return;
+        }
+        let frame = Frame {
+            clock: st.clock,
+            event,
         };
-        let _ = self.store.append(
-            self.lane,
-            StoreEvent::FrameAppended {
-                instance_id: self.instance_id,
-                attempt: self.attempt,
-                frame,
-            },
-        );
+        st.clock += 1;
+        st.tape.push(StoreEvent::FrameAppended {
+            instance_id: self.instance_id,
+            attempt: self.attempt,
+            frame,
+        });
     }
 
     /// Seal the instance's lifecycle — at most once; later calls and
-    /// later frames are no-ops.
+    /// later frames are no-ops. Hands the buffered tape and the seal
+    /// record to the lane as one command. Best-effort: a failed lane
+    /// latches into `wal_append_errors` and the instance simply stays
+    /// unsealed on disk (so recovery re-executes it).
     pub(crate) fn seal(&self, outcome: SealOutcome) {
-        {
+        let mut tape = {
             let mut st = self.state.lock();
             if st.sealed {
                 return;
             }
             st.sealed = true;
-        }
-        let _ = self.store.append(
-            self.lane,
-            StoreEvent::InstanceSealed {
-                instance_id: self.instance_id,
-                attempt: self.attempt,
-                outcome,
-            },
-        );
+            std::mem::take(&mut st.tape)
+        };
+        tape.push(StoreEvent::InstanceSealed {
+            instance_id: self.instance_id,
+            attempt: self.attempt,
+            outcome,
+        });
+        let _ = self.store.append_all(self.lane, tape);
     }
 }
 

@@ -16,14 +16,24 @@
 //! * end fully sealed, fsck-clean, with every sealed journal replaying
 //!   through the `ReplayEngine` — and first-life journals that
 //!   survived the cut byte-identical to their pre-crash capture.
+//!
+//! A durable instance hands its tape to the lane in one piece, with
+//! its seal. The seal-time tests check what that leaves on disk under
+//! concurrent load and all 8 strategies: contiguous tapes with dense
+//! clocks right before their seal, a panicking instance's partial tape
+//! before its `Abandoned` seal, and no frame that landed after the
+//! seal.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
+use decision_flows::decisionflow::journal::{Event, Frame};
 use decision_flows::decisionflow::store;
-use decision_flows::dflowgen::{generate, PatternParams};
+use decision_flows::dflowgen::{generate, GeneratedFlow, PatternParams};
+use decision_flows::prelude::Strategy;
 use decision_flows::prelude::*;
 use proptest::prelude::*;
 
@@ -384,6 +394,297 @@ fn lifecycle_records_precede_frames_on_disk() {
         "one lifecycle record per submitted instance"
     );
     assert!(frames > 0, "durable instances leave frames");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every record on lane 0, decoded, in append order.
+fn lane0_records(dir: &Path) -> Vec<StoreEvent> {
+    let mut events = Vec::new();
+    for (path, bytes) in lane0_segments(dir) {
+        let (records, defect) = store::wal::scan_segment(&bytes);
+        assert!(defect.is_none(), "clean run leaves no defect in {path:?}");
+        for record in records {
+            let text = std::str::from_utf8(&record.payload).expect("utf8 payload");
+            events.push(serde::json::from_str(text).expect("store event"));
+        }
+    }
+    events
+}
+
+/// Each sealed instance's tape as lane 0 holds it, checking the
+/// seal-time hand-off on the way: an instance's frames form one
+/// contiguous run with clocks 0, 1, 2, …, its seal follows the last of
+/// them at once, and no instance seals twice.
+fn sealed_tapes(dir: &Path) -> BTreeMap<u64, (Vec<Frame>, SealOutcome)> {
+    let mut tapes = BTreeMap::new();
+    let mut open: Option<(u64, u32, Vec<Frame>)> = None;
+    for event in lane0_records(dir) {
+        match event {
+            StoreEvent::FrameAppended {
+                instance_id,
+                attempt,
+                frame,
+            } => {
+                let (id, at, frames) =
+                    open.get_or_insert_with(|| (instance_id, attempt, Vec::new()));
+                assert_eq!(
+                    (*id, *at),
+                    (instance_id, attempt),
+                    "a frame of instance {instance_id} inside the tape of instance {id}"
+                );
+                assert_eq!(
+                    frame.clock,
+                    frames.len() as u64,
+                    "instance {instance_id}: clocks run 0, 1, 2, …"
+                );
+                frames.push(frame);
+            }
+            StoreEvent::InstanceSealed {
+                instance_id,
+                attempt,
+                outcome,
+            } => {
+                let frames = match open.take() {
+                    Some((id, at, frames)) => {
+                        assert_eq!(
+                            (id, at),
+                            (instance_id, attempt),
+                            "seal of instance {instance_id} right after the tape of {id}"
+                        );
+                        frames
+                    }
+                    None => Vec::new(),
+                };
+                assert!(
+                    tapes.insert(instance_id, (frames, outcome)).is_none(),
+                    "instance {instance_id} sealed twice"
+                );
+            }
+            other => assert!(open.is_none(), "{other:?} inside an instance's tape"),
+        }
+    }
+    assert!(open.is_none(), "a tape on disk without its seal");
+    tapes
+}
+
+/// `s ─► g, m ─► t` where `t`'s condition `g < 0` is false: the
+/// instance completes (its target disabled) as soon as the fast `g`
+/// lands, while the slow `m`, launched in the same round under every
+/// strategy, is still running — a straggler completing after the seal.
+fn straggler_flow() -> (Arc<Schema>, SourceValues) {
+    let mut b = SchemaBuilder::new();
+    let s = b.source("s");
+    let g = b.query("g", 1, vec![s], Expr::Lit(true), |ins| {
+        Value::Int(ins[0].as_f64().unwrap_or(0.0) as i64 + 1)
+    });
+    let m = b.query("m", 1, vec![s], Expr::Lit(true), |ins| {
+        std::thread::sleep(Duration::from_millis(2));
+        Value::Int(ins[0].as_f64().unwrap_or(0.0) as i64 * 2)
+    });
+    let t = b.synthesis(
+        "t",
+        vec![g, m],
+        Expr::cmp_const(g, CmpOp::Lt, 0i64),
+        |ins| ins[1].clone(),
+    );
+    b.mark_target(t);
+    let mut sources = SourceValues::new();
+    sources.set(s, 5i64);
+    (Arc::new(b.build().expect("valid schema")), sources)
+}
+
+/// Sleep-bound dflowgen flows, whose task bodies take real time so a
+/// multi-worker shard runs several instances (and a speculative
+/// instance's tasks) at once, plus the [`straggler_flow`].
+fn timed_flows() -> Vec<(Arc<Schema>, SourceValues)> {
+    [(16_001u64, 40u32), (16_002, 75)]
+        .into_iter()
+        .map(|(seed, pct)| {
+            let flow = generate(pattern(16, pct), seed)
+                .expect("valid pattern")
+                .with_unit_delay(Duration::from_micros(20));
+            (flow.schema, flow.sources)
+        })
+        .chain(std::iter::once(straggler_flow()))
+        .collect()
+}
+
+/// Submit every timed flow three times under each of the 8 strategies
+/// (at %Permitted 100, so every candidate of a round launches) as one
+/// batch on a durable 1 shard × 4 worker server, and wait for
+/// all of it. Returns each instance's id with its result.
+fn run_matrix(dir: &Path, record_journal: bool) -> Vec<(u64, InstanceResult)> {
+    let flows = timed_flows();
+    let server = EngineServer::builder()
+        .shards(1)
+        .workers_per_shard(4)
+        .durable(dir)
+        .build()
+        .expect("open store");
+    let mut requests = Vec::new();
+    for (i, (schema, sources)) in flows.iter().enumerate() {
+        server.register(format!("f{i}"), Arc::clone(schema));
+        for strategy in Strategy::all_at(100) {
+            for _ in 0..3 {
+                requests.push(
+                    Request::named(format!("f{i}"))
+                        .sources(sources.clone())
+                        .strategy(strategy)
+                        .durable(true)
+                        .record_journal(record_journal),
+                );
+            }
+        }
+    }
+    let tickets = server
+        .submit_many(requests)
+        .expect("batch accepted")
+        .into_tickets();
+    let results: Vec<(u64, InstanceResult)> = tickets
+        .into_iter()
+        .map(|t| (t.instance_id(), t.wait().expect("instance completes")))
+        .collect();
+    server
+        .store()
+        .expect("durable server")
+        .sync()
+        .expect("sync");
+    results
+}
+
+/// Under concurrent load every sealed tape is one contiguous run on
+/// the lane, right before its seal, and reconstructs as the journal.
+#[test]
+fn sealed_tapes_are_contiguous_on_the_lane() {
+    let dir = scratch("contiguous");
+    let results = run_matrix(&dir, false);
+    let tapes = sealed_tapes(&dir);
+    assert_eq!(tapes.len(), results.len(), "one seal per instance");
+    for (id, _) in &results {
+        let (frames, outcome) = &tapes[id];
+        assert_eq!(*outcome, SealOutcome::Completed);
+        assert!(!frames.is_empty(), "instance {id} left no frames");
+        let journal = store::fetch_journal(&dir, *id).expect("sealed journal reconstructs");
+        assert_eq!(&journal.frames, frames, "instance {id}: fetched tape");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A task completion that lands after the instance completed (a
+/// speculative straggler) is in neither tape: the frames on disk are
+/// exactly the live journal's.
+#[test]
+fn frames_on_disk_equal_the_live_journal() {
+    let dir = scratch("stragglers");
+    let results = run_matrix(&dir, true);
+    let tapes = sealed_tapes(&dir);
+    let mut stragglers = 0usize;
+    for (id, result) in &results {
+        let live = &result.journal.as_ref().expect("journal requested").frames;
+        assert_eq!(&tapes[id].0, live, "instance {id}: disk tape != live tape");
+        let completed: Vec<AttrId> = live
+            .iter()
+            .filter_map(|f| match f.event {
+                Event::Complete { attr, .. } => Some(attr),
+                _ => None,
+            })
+            .collect();
+        stragglers += live
+            .iter()
+            .filter(|f| matches!(f.event, Event::Launch { attr, .. } if !completed.contains(&attr)))
+            .count();
+    }
+    assert!(
+        stragglers > 0,
+        "no launch was still running at any seal; the matrix tests nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `flow` with its target's task body replaced by one that panics.
+fn with_panicking_target(flow: &GeneratedFlow) -> Arc<Schema> {
+    let mut b = SchemaBuilder::new();
+    for a in flow.schema.attr_ids() {
+        let def = flow.schema.attr(a);
+        let id = if def.task.is_source() {
+            b.source(def.name.clone())
+        } else {
+            let task = if def.target {
+                Task::query(def.task.cost(), |_: &[Value]| {
+                    panic!("target body exploded")
+                })
+            } else {
+                def.task.clone()
+            };
+            b.attr(
+                def.name.clone(),
+                task,
+                def.inputs.clone(),
+                def.enabling.clone(),
+            )
+        };
+        assert_eq!(id, a, "rebuild preserves attribute ids");
+        if def.target {
+            b.mark_target(id);
+        }
+    }
+    Arc::new(b.build().expect("rebuilt schema stays valid"))
+}
+
+/// An instance whose task body panics is abandoned: the lane holds the
+/// tape it recorded up to then (the target launched, never completed)
+/// and then its `Abandoned` seal.
+#[test]
+fn panicking_body_leaves_partial_tape_then_abandoned_seal() {
+    let flow = generate(pattern(14, 100), 17_001).expect("valid pattern");
+    let schema = with_panicking_target(&flow);
+    let target = schema
+        .attr_ids()
+        .find(|&a| schema.attr(a).target)
+        .expect("flow has a target");
+    let dir = scratch("abandoned");
+    let server = open_server(&dir);
+    server.register("doomed", Arc::clone(&schema));
+    let mut ids = Vec::new();
+    for strategy in Strategy::all_at(50) {
+        let ticket = server
+            .submit(
+                Request::named("doomed")
+                    .sources(flow.sources.clone())
+                    .strategy(strategy)
+                    .durable(true),
+            )
+            .expect("durable submit");
+        ids.push(ticket.instance_id());
+        assert!(ticket.wait().is_err(), "{strategy}: instance abandoned");
+    }
+    server
+        .store()
+        .expect("durable server")
+        .sync()
+        .expect("sync");
+    let tapes = sealed_tapes(&dir);
+    assert_eq!(tapes.len(), ids.len(), "one seal per instance");
+    for id in ids {
+        let (frames, outcome) = &tapes[&id];
+        assert_eq!(*outcome, SealOutcome::Abandoned, "instance {id}");
+        let launched = frames
+            .iter()
+            .any(|f| matches!(f.event, Event::Launch { attr, .. } if attr == target));
+        let completed = frames
+            .iter()
+            .any(|f| matches!(f.event, Event::Complete { attr, .. } if attr == target));
+        assert!(
+            launched && !completed,
+            "instance {id}: partial tape ends with the target in flight"
+        );
+        let journal = store::fetch_journal(&dir, id).expect("abandoned journal reconstructs");
+        assert_eq!(
+            &journal.frames, frames,
+            "instance {id}: fetched partial tape"
+        );
+    }
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
